@@ -16,6 +16,10 @@ Request flow::
                      └─ PipelineRunner against the shared StageCache
                           └─ envelope ──► results store
 
+A CSV ref resolves to its digest through a persisted memo keyed by the
+files' content hash, so a stored scenario is served without parsing a
+row; the rows are built only once a job misses the results store.
+
 Two clients racing on the same scenario therefore share one pipeline
 execution, and a scenario computed by any surface is warm for all of
 them — the stage cache dedupes *stage* work across different specs,
@@ -34,7 +38,13 @@ remain as deprecated aliases addressing the same layouts directly.
 
 from __future__ import annotations
 
+import codecs
+import csv
+import hashlib
+import io
 import json
+import locale
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,9 +55,22 @@ from typing import Any, Mapping
 #: seeds must not accumulate full datasets without bound.
 DATASET_CACHE_SLOTS = 8
 
+#: Bump when the CSV readers or ``dataset_digest`` change what a CSV
+#: pair's bytes mean: every persisted source → digest memo entry then
+#: misses instead of pairing new rows with an old digest.
+CSV_SOURCE_SCHEMA = 1
+
+#: The files of a CSV dataset directory, in memo-key order.
+_CSV_FILES = ("locations.csv", "rentals.csv")
+
+#: What a memo entry must hold to count as a hit (a SHA-256 digest).
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
 from ..analysis.rebalancing import plan_weekend_rebalancing
 from ..data import MobyDataset
+from ..data.csvio import read_locations, read_rentals
 from ..exceptions import (
+    DataError,
     PipelineCancelledError,
     ServiceError,
     ServiceOverloadedError,
@@ -59,10 +82,11 @@ from ..obs import (
     ServiceMetrics,
     new_trace_id,
 )
-from ..perf import StageTimer
+from ..perf import NULL_TIMER, StageTimer
 from ..pipeline.cache import StageCache, stage_namespace
 from ..resilience import CircuitBreaker, Watchdog
 from ..pipeline.fingerprint import dataset_digest
+from ..pipeline.fingerprint import fingerprint as content_fingerprint
 from ..pipeline.runner import PipelineRunner, run_sweep
 from ..reporting import sweep_summary
 from ..reporting.markdown import render_markdown_report
@@ -84,6 +108,36 @@ from .spec import (
     ScenarioSpec,
 )
 from .store import ResultsStore, results_namespace
+
+
+class _CsvBytes:
+    """A CSV pair's bytes, hashed at submit, parsed only if a job needs rows.
+
+    :meth:`take` hands the bytes out once and forgets them, so a queued
+    job holds them until its parse at most — never through the pipeline.
+    """
+
+    __slots__ = ("files", "encoding")
+
+    def __init__(self, files: tuple[bytes, ...], encoding: str) -> None:
+        self.files: tuple[bytes, ...] | None = files
+        self.encoding = encoding
+
+    def take(self) -> tuple[bytes, ...]:
+        files, self.files = self.files, None
+        return files
+
+
+def _parse_csv(files: tuple[bytes, ...], encoding: str) -> MobyDataset:
+    """The rows of a CSV pair, decoded as ``open(path, newline="")`` reads
+    the files in :meth:`MobyDataset.from_csv` (same rows, same digest)."""
+    locations, rentals = (
+        io.TextIOWrapper(io.BytesIO(data), encoding=encoding, newline="")
+        for data in files
+    )
+    return MobyDataset.from_records(
+        read_locations(locations), read_rentals(rentals)
+    )
 
 
 class ExpansionService:
@@ -352,7 +406,9 @@ class ExpansionService:
         resolved against the old content keep their results — the spec
         fingerprint tracks the digest, not the name.
         """
-        return self.datasets.put(name, dataset)
+        meta = self.datasets.put(name, dataset)
+        self._forget_named(name, keep=meta["digest"])
+        return meta
 
     def append_dataset(self, name: str, rentals: list) -> dict | None:
         """Append rental records onto a stored dataset (``PATCH``).
@@ -362,74 +418,156 @@ class ExpansionService:
         ``name``.  The store rolls the content digest forward in O(delta)
         and re-chains only the temporal slices the delta touches, so a
         resubmitted scenario recomputes just those slices.  Cached
-        byte-views and memoised resolutions keyed by the old digest miss
-        naturally — the digest moved.
+        byte-views keyed by the old digest miss naturally — the digest
+        moved — and the rows resolved under it are dropped from memory.
         """
-        return self.datasets.append(name, rentals)
+        meta = self.datasets.append(name, rentals)
+        if meta is not None:
+            self._forget_named(name, keep=meta["digest"])
+        return meta
 
     def delete_dataset(self, name: str) -> bool:
         """Drop a named dataset; returns whether it existed."""
-        return self.datasets.delete(name)
+        existed = self.datasets.delete(name)
+        self._forget_named(name)
+        return existed
 
-    def _resolve_dataset(self, spec: ScenarioSpec) -> tuple[MobyDataset, str]:
-        """(raw dataset, content digest) for a spec's dataset ref."""
-        return self._resolve_ref(spec.dataset)
+    def _forget_named(self, name: str, keep: str | None = None) -> None:
+        """Drop ``name``'s memoised rows, except those of digest ``keep``.
 
-    def _resolve_ref(self, ref: DatasetRef) -> tuple[MobyDataset, str]:
-        """(raw dataset, content digest) for one dataset ref.
-
-        Resolutions are memoised in a small LRU; csv entries are keyed
-        by the files' identity (mtime/size) and named entries by the
-        store's content digest, so editing a dataset on disk or
-        overwriting a name invalidates the memo instead of serving
-        stale results until restart.
+        A superseded digest is never resolved again, so its rows (tens
+        of MiB at paper scale) would only occupy a memo slot.
         """
-        if ref.kind == "synthetic":
-            key: tuple = ("synthetic", ref.seed)
-        elif ref.kind == "csv":
-            root = Path(ref.path).resolve()
-            stamp = []
-            for name in ("locations.csv", "rentals.csv"):
-                try:
-                    stat = (root / name).stat()
-                    stamp.append((name, stat.st_mtime_ns, stat.st_size))
-                except OSError:
-                    stamp.append((name, None, None))
-            key = ("csv", str(root), tuple(stamp))
-        else:
-            # The digest is only the memo key here; the pair actually
-            # handed out below is taken atomically from the store, so a
-            # racing overwrite costs at most a memo miss — never a
-            # digest paired with the wrong rows.
-            named_digest = self.datasets.digest(ref.name)
-            if named_digest is None:
-                raise ServiceError(f"no dataset registered as {ref.name!r}")
-            key = ("named", ref.name, named_digest)
+        for key in list(self._datasets):
+            if key[:2] == ("named", name) and key[2] != keep:
+                self._datasets.pop(key)
+
+    def _resolve_ref(
+        self, ref: DatasetRef, timer: StageTimer = NULL_TIMER
+    ) -> tuple[MobyDataset | _CsvBytes, str]:
+        """(rows, content digest) for one dataset ref, timed as ``resolve``.
+
+        Resolutions are memoised in a small LRU keyed by content: a
+        synthetic seed, a named dataset's stored digest, or a CSV
+        pair's dataset digest.  A CSV ref whose digest comes from the
+        persisted memo may hand out its unparsed bytes instead of rows
+        (see :meth:`_resolve_csv` and :meth:`_rows`).
+        """
+        with timer.section("resolve"):
+            if ref.kind == "csv":
+                return self._resolve_csv(ref.path, timer)
+            if ref.kind == "synthetic":
+                key: tuple = ("synthetic", ref.seed)
+            else:
+                # The digest is only the memo key here; the pair
+                # actually handed out below is taken atomically from the
+                # store, so a racing overwrite costs at most a memo miss
+                # — never a digest paired with the wrong rows.
+                named_digest = self.datasets.digest(ref.name)
+                if named_digest is None:
+                    raise ServiceError(
+                        f"no dataset registered as {ref.name!r}"
+                    )
+                key = ("named", ref.name, named_digest)
+            cached = self._datasets.get(key)
+            if cached is not None:
+                return cached
+            if ref.kind == "named":
+                # Content replaced behind this service's back (a ranged
+                # upload, another worker's PATCH): drop the stale rows
+                # before loading the current ones.
+                self._forget_named(ref.name, keep=named_digest)
+            if ref.kind == "synthetic":
+                with timer.section("generate"):
+                    raw = SyntheticMobyGenerator(seed=ref.seed).generate()
+                with timer.section("digest"):
+                    resolved = (raw, dataset_digest(raw))
+            else:
+                # Atomic (rows, digest) — the store digested the rows at
+                # put time under the same lock, so this never recomputes
+                # and never mixes versions.  Re-key the memo on the
+                # digest the pair actually carries.
+                with timer.section("load"):
+                    resolved = self.datasets.get_with_digest(ref.name)
+                if resolved is None:
+                    raise ServiceError(
+                        f"no dataset registered as {ref.name!r}"
+                    )
+                key = ("named", ref.name, resolved[1])
+            self._datasets.put(key, resolved)
+            return resolved
+
+    def _resolve_csv(
+        self, path: str, timer: StageTimer
+    ) -> tuple[MobyDataset | _CsvBytes, str]:
+        """(rows or unparsed bytes, dataset digest) for a CSV directory.
+
+        The digest is memoised in the stage cache under the SHA-256 of
+        both files' bytes (plus the schema and text encoding they are
+        decoded with), so it survives restarts and follows the stage
+        namespace's quotas.  A content hash, not file identity: an edit
+        that keeps size and mtime still moves the key.  On a memo hit
+        the rows are built later, and only if a job misses the results
+        store; on a miss they are parsed here, from the same bytes that
+        were hashed, so rows and digest always describe one version of
+        the files.  An evicted, unreadable or non-digest entry is a miss.
+        """
+        root = Path(path)
+        try:
+            with timer.section("read"):
+                files = tuple((root / name).read_bytes() for name in _CSV_FILES)
+        except OSError as error:
+            raise ServiceError(
+                f"cannot load csv dataset from {path!r}: {error}"
+            ) from error
+        encoding = codecs.lookup(locale.getpreferredencoding(False)).name
+        with timer.section("hash"):
+            source_key = content_fingerprint(
+                "source",
+                CSV_SOURCE_SCHEMA,
+                encoding,
+                *(hashlib.sha256(data).hexdigest() for data in files),
+            )
+        with timer.section("memo"):
+            digest = self.cache.get(source_key)
+        if isinstance(digest, str) and _DIGEST.fullmatch(digest):
+            cached = self._datasets.get(("csv", digest))
+            if cached is not None:
+                return cached
+            return _CsvBytes(files, encoding), digest
+        try:
+            with timer.section("parse"):
+                raw = _parse_csv(files, encoding)
+        except (csv.Error, DataError, KeyError, TypeError, ValueError) as error:
+            raise ServiceError(
+                f"cannot load csv dataset from {path!r}: {error}"
+            ) from error
+        with timer.section("digest"):
+            digest = dataset_digest(raw)
+        self.cache.put(source_key, digest)
+        resolved = (raw, digest)
+        self._datasets.put(("csv", digest), resolved)
+        return resolved
+
+    def _rows(
+        self, source: MobyDataset | _CsvBytes, digest: str, timer: StageTimer
+    ) -> MobyDataset:
+        """The rows behind a resolved source; CSV bytes are parsed once.
+
+        Called by a job that missed the results store.  Another job may
+        have parsed the same content meanwhile, so the memo comes first.
+        """
+        if isinstance(source, MobyDataset):
+            return source
+        files = source.take()
+        key = ("csv", digest)
         cached = self._datasets.get(key)
         if cached is not None:
-            return cached
-        if ref.kind == "synthetic":
-            raw = SyntheticMobyGenerator(seed=ref.seed).generate()
-            resolved = (raw, dataset_digest(raw))
-        elif ref.kind == "csv":
-            try:
-                raw = MobyDataset.from_csv(ref.path)
-            except Exception as error:
-                raise ServiceError(
-                    f"cannot load csv dataset from {ref.path!r}: {error}"
-                ) from error
-            resolved = (raw, dataset_digest(raw))
-        else:
-            # Atomic (rows, digest) — the store digested the rows at
-            # put time under the same lock, so this never recomputes
-            # and never mixes versions.  Re-key the memo on the digest
-            # the pair actually carries.
-            resolved = self.datasets.get_with_digest(ref.name)
-            if resolved is None:
-                raise ServiceError(f"no dataset registered as {ref.name!r}")
-            key = ("named", ref.name, resolved[1])
-        self._datasets.put(key, resolved)
-        return resolved
+            return cached[0]
+        with timer.section("resolve"), timer.section("parse"):
+            raw = _parse_csv(files, source.encoding)
+        self._datasets.put(key, (raw, digest))
+        return raw
 
     # ------------------------------------------------------------------
     # Submission
@@ -449,7 +587,8 @@ class ExpansionService:
         """
         if isinstance(spec, Mapping):
             spec = ScenarioSpec.from_dict(spec)
-        raw, digest, resolved, fingerprint = self._resolve_spec(spec)
+        timer = StageTimer()
+        raw, digest, resolved, fingerprint = self._resolve_spec(spec, timer)
         with self._mutex:
             inflight = self._inflight.get(fingerprint)
             if inflight is not None:
@@ -484,7 +623,7 @@ class ExpansionService:
             for job_id in pruned:
                 self.jobstore.delete(job_id)
         self._journal(job)
-        self._pool.submit(self._execute, job, raw, digest, resolved)
+        self._pool.submit(self._execute, job, raw, digest, resolved, timer)
         return job
 
     def _check_admission_locked(self) -> None:
@@ -522,8 +661,8 @@ class ExpansionService:
                 return candidate
 
     def _resolve_spec(
-        self, spec: ScenarioSpec
-    ) -> tuple[MobyDataset, str, list | None, str]:
+        self, spec: ScenarioSpec, timer: StageTimer = NULL_TIMER
+    ) -> tuple[MobyDataset | _CsvBytes, str, list | None, str]:
         """Resolve a spec's data and identity: (raw, digest, sweep, fp).
 
         For a dataset-axis sweep every named dataset is resolved up
@@ -534,7 +673,7 @@ class ExpansionService:
         """
         if spec.sweep_datasets:
             resolved = [
-                (name, *self._resolve_ref(DatasetRef.named(name)))
+                (name, *self._resolve_ref(DatasetRef.named(name), timer))
                 for name in spec.sweep_datasets
             ]
             fingerprint = spec.fingerprint(
@@ -545,7 +684,7 @@ class ExpansionService:
             )
             _, raw, digest = resolved[0]
             return raw, digest, resolved, fingerprint
-        raw, digest = self._resolve_dataset(spec)
+        raw, digest = self._resolve_ref(spec.dataset, timer)
         return raw, digest, None, spec.fingerprint(digest)
 
     def _journal(self, job: Job) -> None:
@@ -615,8 +754,11 @@ class ExpansionService:
         envelope — while dedup bookkeeping stays correct: each job only
         clears its own in-flight registration.
         """
+        timer = StageTimer()
         try:
-            raw, digest, resolved, fingerprint = self._resolve_spec(job.spec)
+            raw, digest, resolved, fingerprint = self._resolve_spec(
+                job.spec, timer
+            )
         except Exception as error:
             job.fail(f"{type(error).__name__}: {error}")
             self._journal(job)
@@ -626,7 +768,7 @@ class ExpansionService:
         job.fingerprint = fingerprint  # content may have moved meanwhile
         with self._mutex:
             self._inflight.setdefault(fingerprint, job)
-        self._execute(job, raw, digest, resolved)
+        self._execute(job, raw, digest, resolved, timer)
 
     def _prune_jobs_locked(self) -> list[str]:
         """Drop the oldest terminal jobs beyond :attr:`retain_jobs`.
@@ -840,10 +982,18 @@ class ExpansionService:
     def _execute(
         self,
         job: Job,
-        raw: MobyDataset,
+        raw: MobyDataset | _CsvBytes,
         digest: str,
         resolved: list | None = None,
+        timer: StageTimer | None = None,
     ) -> None:
+        """Serve ``job`` from the results store, or run it.
+
+        ``timer`` carries the ``resolve`` section recorded at submit;
+        the pipeline's stage sections join it in the job's ``timings``.
+        """
+        if timer is None:
+            timer = StageTimer()
         try:
             if job.cancel_event.is_set():
                 # Cancelled while queued: never starts, reports cancelled
@@ -891,7 +1041,7 @@ class ExpansionService:
                     return True
                 return False
 
-            timer = StageTimer()
+            raw = self._rows(raw, digest, timer)
             incremental: dict[str, Any] = {}
             envelope = self._build_envelope(
                 job.spec,

@@ -68,6 +68,19 @@ class DatasetRef:
                 f"unknown dataset kind {self.kind!r}; expected one of "
                 f"{_DATASET_KINDS}"
             )
+        # Strict types: ``True`` would otherwise generate seed 1's data
+        # and share its fingerprint, yet serialise as ``true``.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ServiceError(
+                f"dataset seed must be an integer, got {self.seed!r}"
+            )
+        for field_name in ("path", "name"):
+            value = getattr(self, field_name)
+            if value is not None and (not isinstance(value, str) or not value):
+                raise ServiceError(
+                    f"dataset {field_name} must be a non-empty string, "
+                    f"got {value!r}"
+                )
         if self.kind == "csv" and not self.path:
             raise ServiceError("csv dataset refs need a path")
         if self.kind == "named" and not self.name:

@@ -57,6 +57,11 @@ class ObjectLRU:
             while len(self._entries) > self.slots:
                 self._entries.popitem(last=False)
 
+    def pop(self, key: Hashable) -> None:
+        """Drop ``key`` if present."""
+        with self._mutex:
+            self._entries.pop(key, None)
+
     def clear(self) -> None:
         with self._mutex:
             self._entries.clear()

@@ -41,11 +41,11 @@ used to implement privately:
   :meth:`stats` records every extra attempt;
 * **striped key locks** — :meth:`lock` serialises concurrent work on
   one key (stage computation, dataset overwrite-vs-read).  Locks come
-  from a fixed stripe table indexed by key hash, so the hot read path
-  never takes a global mutex to mint per-key locks and the lock table
-  cannot grow without bound.  Two keys sharing a stripe serialise
-  against each other — a false positive that costs a wait (or an
-  eviction skip), never correctness.
+  from a fixed stripe table indexed by a stable hash of the key, so
+  the hot read path never takes a global mutex to mint per-key locks
+  and the lock table cannot grow without bound.  Two keys sharing a
+  stripe serialise against each other — a false positive that costs a
+  wait, never correctness.
 
 Multi-file entries (a dataset's CSV pair plus metadata) declare their
 ``parts``; the *last* part is the recency anchor and is written last,
@@ -58,6 +58,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from typing import Any, BinaryIO, Mapping
 
@@ -75,6 +76,36 @@ NAME_KEY = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 #: keys any workload holds locked at once, so stripe collisions are
 #: rare; a power of two keeps the modulo cheap.
 LOCK_STRIPES = 64
+
+
+class _Stripe:
+    """One key-lock stripe: a mutex that records the thread holding it.
+
+    Eviction needs the owner to tell a writer's own hold on the entry
+    it just stored apart from another thread's use of a victim.
+    """
+
+    __slots__ = ("_lock", "owner")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.owner: int | None = None
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        if not self._lock.acquire(blocking, timeout):
+            return False
+        self.owner = threading.get_ident()
+        return True
+
+    def release(self) -> None:
+        self.owner = None
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
 
 
 class Namespace:
@@ -145,9 +176,7 @@ class Namespace:
         #: transient fault — the namespace's flap meter.
         self.retries = 0
         self._mutex = threading.Lock()
-        self._stripe_locks = tuple(
-            threading.Lock() for _ in range(LOCK_STRIPES)
-        )
+        self._stripe_locks = tuple(_Stripe() for _ in range(LOCK_STRIPES))
         self._evict_mutex = threading.Lock()
         # Debounced access stamps: backend key -> last write (monotonic)
         # and the set of keys with a hit since their last write.
@@ -525,12 +554,15 @@ class Namespace:
     def lock(self, key: str):
         """Serialise concurrent work on one key (a context manager).
 
-        Striped: the lock comes from a fixed table indexed by key
-        hash, so this never takes a global mutex and the table never
-        grows.  Keys sharing a stripe contend spuriously — a wait or
-        an eviction skip, never a correctness issue.
+        Striped: the lock comes from a fixed table indexed by the
+        key's CRC-32, so this never takes a global mutex and the table
+        never grows.  Keys sharing a stripe contend spuriously — a
+        wait, never a wrong result.  CRC-32 rather than the
+        per-process salted ``hash``: which keys share a stripe, and so
+        which entries a held stripe shields from :meth:`evict`, is the
+        same in every run instead of a one-in-64 coin toss.
         """
-        return self._stripe_locks[hash(key) % LOCK_STRIPES]
+        return self._stripe_locks[zlib.crc32(key.encode()) % LOCK_STRIPES]
 
     # ------------------------------------------------------------------
     # Accounting, quotas, eviction
@@ -659,13 +691,21 @@ class Namespace:
         and neither is an entry whose per-key lock is currently held —
         a writer or reader mid-flight on it makes it recently used by
         definition, and deleting parts underneath an in-progress
-        multi-part write could strand a half-replaced entry.  Best
+        multi-part write could strand a half-replaced entry.  The
+        calling thread's own hold on ``keep``'s stripe (a writer
+        storing under its key lock) does not protect other keys of
+        that stripe: it is the caller's, not a use of the victim.  Best
         effort by design: entries deleted under a lockless concurrent
         reader simply read as misses and are recomputed or re-uploaded.
         """
         if self.unbounded:
             return 0
         evicted = 0
+        own = None
+        if keep is not None:
+            stripe = self.lock(keep)
+            if stripe.owner == threading.get_ident():
+                own = stripe
         with self._evict_mutex:
             self.flush_touches()  # the scan must see coalesced hits
             grouped = self._grouped()
@@ -691,13 +731,17 @@ class Namespace:
                 if key == keep:
                     continue
                 key_lock = self.lock(key)
-                if not key_lock.acquire(blocking=False):
+                if key_lock is own:
+                    deleted = self.delete(key)
+                elif key_lock.acquire(blocking=False):
+                    try:
+                        deleted = self.delete(key)
+                    finally:
+                        key_lock.release()
+                else:
                     continue  # actively in use: not an LRU victim
-                try:
-                    if not self.delete(key):
-                        continue
-                finally:
-                    key_lock.release()
+                if not deleted:
+                    continue
                 total_bytes -= sum(size for size, _ in grouped[key])
                 n_entries -= 1
                 evicted += 1

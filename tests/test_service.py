@@ -168,7 +168,7 @@ class TestResultsStore:
     def test_stale_envelope_schema_is_recomputed_not_served(self, service):
         """A persisted envelope from an older schema reads as a miss."""
         spec = small_spec(overrides={"community.seed": 31337})
-        raw, digest = service._resolve_dataset(spec)
+        raw, digest = service._resolve_ref(spec.dataset)
         fingerprint = spec.fingerprint(digest)
         service.results.put(
             fingerprint,

@@ -185,19 +185,53 @@ class TestServiceIntegration:
             meta = service.register_dataset("small", small_raw)
             assert meta["digest"] == dataset_digest(small_raw)
             spec = ScenarioSpec(dataset=DatasetRef.named("small"))
-            raw, digest = service._resolve_dataset(spec)
+            raw, digest = service._resolve_ref(spec.dataset)
             assert digest == meta["digest"]
 
     def test_overwrite_moves_spec_fingerprints(self):
         with ExpansionService() as service:
             service.register_dataset("city", tiny_dataset(10, seed=1))
             spec = ScenarioSpec(dataset=DatasetRef.named("city"))
-            _, digest_a = service._resolve_dataset(spec)
+            _, digest_a = service._resolve_ref(spec.dataset)
             fp_a = spec.fingerprint(digest_a)
             service.register_dataset("city", tiny_dataset(10, seed=2))
-            _, digest_b = service._resolve_dataset(spec)
+            _, digest_b = service._resolve_ref(spec.dataset)
             assert digest_b != digest_a
             assert spec.fingerprint(digest_b) != fp_a
+
+    @pytest.mark.parametrize("change", ["append", "overwrite", "delete"])
+    def test_superseded_rows_leave_the_memo(self, change):
+        from datetime import datetime
+
+        from repro.data.records import RentalRecord
+
+        with ExpansionService() as service:
+            service.register_dataset("city", tiny_dataset(10, seed=1))
+            service.register_dataset("other", tiny_dataset(10, seed=3))
+            city = DatasetRef.named("city")
+            _, old = service._resolve_ref(city)
+            _, other = service._resolve_ref(DatasetRef.named("other"))
+            if change == "append":
+                start = datetime(2021, 7, 2, 8, 0, 0)
+                new = service.append_dataset(
+                    "city",
+                    [RentalRecord(500_000, 1, start, start, 1, 2)],
+                )["digest"]
+            elif change == "overwrite":
+                new = service.register_dataset(
+                    "city", tiny_dataset(10, seed=2)
+                )["digest"]
+            else:
+                assert service.delete_dataset("city") is True
+            memo = list(service._datasets)
+            assert ("named", "city", old) not in memo
+            assert ("named", "other", other) in memo
+            if change == "delete":
+                with pytest.raises(ServiceError):
+                    service._resolve_ref(city)
+            else:
+                assert new != old
+                assert service._resolve_ref(city)[1] == new
 
     def test_deleted_dataset_fails_submission(self, small_raw):
         with ExpansionService() as service:

@@ -342,6 +342,34 @@ class TestEvictionSafety:
         namespace.put("later", b"x")
         assert "victim" not in namespace.keys()
 
+    def test_writers_own_stripe_does_not_shield_the_lru_victim(self):
+        """A writer holding its key's lock still evicts a stripe-mate.
+
+        The lock a writer holds while storing under its own key is not
+        a use of the least-recently-used entry that shares its stripe.
+        """
+        from repro.store import NAME_KEY
+
+        namespace = Namespace(
+            MemoryBackend(), key_pattern=NAME_KEY, max_entries=2
+        )
+        names = [f"k{index}" for index in range(1000)]
+        victim = names[0]
+        writer = next(
+            name for name in names[1:]
+            if namespace.lock(name) is namespace.lock(victim)
+        )
+        recent = next(
+            name for name in names[1:]
+            if namespace.lock(name) is not namespace.lock(victim)
+        )
+        namespace.put(victim, b"least recently used")
+        namespace.put(recent, b"recently used")
+        with namespace.lock(writer):
+            namespace.put(writer, b"new")
+        assert namespace.keys() == sorted([recent, writer])
+        assert namespace.evictions == 1
+
     def test_crashed_overwrite_reads_as_absent_not_mixed(self):
         """A crash between part writes must never pair old and new parts."""
         from repro.store import NAME_KEY
