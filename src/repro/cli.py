@@ -60,8 +60,8 @@ from .reporting import experiment_table1, format_table
 from .service import (
     DatasetRef,
     ExpansionService,
+    Job,
     ScenarioSpec,
-    canonical_envelope,
     make_server,
 )
 from .synth import SyntheticMobyGenerator
@@ -458,14 +458,28 @@ def _make_service(args: argparse.Namespace) -> ExpansionService:
     )
 
 
-def _run_scenario(
-    args: argparse.Namespace, spec: ScenarioSpec
-) -> tuple[dict, dict | None]:
-    """Run a spec on an in-process service; returns (envelope, timings)."""
+def _run_scenario(args: argparse.Namespace, spec: ScenarioSpec) -> Job:
+    """Run a spec on an in-process service; returns the finished job.
+
+    The job holds the envelope's stored bytes: ``--format json`` writes
+    them out unchanged, and ``job.wait()`` parses them for the tables.
+    """
     with _make_service(args) as service:
         job = service.submit(spec)
-        envelope = job.wait()
-        return envelope, job.timings
+        job.wait_bytes()
+        return job
+
+
+def _print_payload(payload: bytes) -> None:
+    """Write stored envelope bytes to stdout as they are, plus a newline."""
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:  # a text-only stand-in for stdout
+        print(payload.decode("utf-8"))
+        return
+    sys.stdout.flush()
+    stream.write(payload)
+    stream.write(b"\n")
+    stream.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +535,21 @@ def _parse_axis(spec: str) -> tuple[str, list]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    envelope, timings = _run_scenario(
+    job = _run_scenario(
         args, ScenarioSpec(dataset=_dataset_ref(args), outputs=("run",))
     )
     if args.format == "json":
-        print(canonical_envelope(envelope))
-        if args.timings and timings is not None:
+        _print_payload(job.payload)
+        if args.timings and job.timings is not None:
             # stdout stays pure canonical JSON; the breakdown goes to
             # stderr so `--format json --timings` honours both flags.
             from .perf import PerfReport
 
             print("PER-STAGE WALL CLOCK", file=sys.stderr)
-            print(PerfReport.from_dict(timings).render(indent=2), file=sys.stderr)
+            print(
+                PerfReport.from_dict(job.timings).render(indent=2),
+                file=sys.stderr,
+            )
         return 0
     from .reporting import (
         experiment_table2,
@@ -542,7 +559,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         experiment_table6,
     )
 
-    result = ExpansionResult.from_dict(envelope["outputs"]["run"])
+    result = ExpansionResult.from_dict(job.wait()["outputs"]["run"])
     for output in (
         experiment_table1(result.cleaning_report),
         experiment_table2(result),
@@ -569,11 +586,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 result.network, partition, name
             ).save(args.figures / f"{name}.svg")
         print(f"figures written to {args.figures}")
-    if args.timings and timings is not None:
+    if args.timings and job.timings is not None:
         from .perf import PerfReport
 
         print("PER-STAGE WALL CLOCK")
-        print(PerfReport.from_dict(timings).render(indent=2))
+        print(PerfReport.from_dict(job.timings).render(indent=2))
     return 0
 
 
@@ -590,7 +607,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep_datasets = tuple(
         name.strip() for name in (args.datasets or "").split(",") if name.strip()
     )
-    envelope, _ = _run_scenario(
+    job = _run_scenario(
         args,
         ScenarioSpec(
             dataset=_dataset_ref(args),
@@ -600,14 +617,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ),
     )
     if args.format == "json":
-        print(canonical_envelope(envelope))
+        _print_payload(job.payload)
         return 0
-    print(envelope["outputs"]["sweep"]["table"])
+    print(job.wait()["outputs"]["sweep"]["table"])
     return 0
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    envelope, _ = _run_scenario(
+    job = _run_scenario(
         args,
         ScenarioSpec(
             dataset=_dataset_ref(args),
@@ -616,9 +633,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         ),
     )
     if args.format == "json":
-        print(canonical_envelope(envelope))
+        _print_payload(job.payload)
         return 0
-    plan = RebalancingPlan.from_dict(envelope["outputs"]["rebalance"]["plan"])
+    plan = RebalancingPlan.from_dict(job.wait()["outputs"]["rebalance"]["plan"])
     rows = [
         [
             demand.community,
@@ -650,7 +667,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    envelope, _ = _run_scenario(
+    job = _run_scenario(
         args,
         ScenarioSpec(
             dataset=_dataset_ref(args),
@@ -660,9 +677,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(envelope["outputs"]["report"]["markdown"])
+    path.write_text(job.wait()["outputs"]["report"]["markdown"])
     if args.format == "json":
-        print(canonical_envelope(envelope))
+        _print_payload(job.payload)
     else:
         print(f"report written to {path}")
     return 0

@@ -49,6 +49,11 @@ class CachedBytes(NamedTuple):
     etag: str
     #: POSIX timestamp rendered as the ``Last-Modified`` header.
     last_modified: float
+    #: For a stored result envelope: whether its bytes are a
+    #: current-schema envelope, judged once when they entered the cache
+    #: (see :class:`~repro.service.store.ResultsStore`).  ``False`` for
+    #: every other payload.
+    current: bool = False
 
 
 class BytesLRU:
@@ -106,14 +111,16 @@ class BytesLRU:
         *,
         etag: str,
         last_modified: float,
+        current: bool = False,
     ) -> CachedBytes:
         """Cache one rendered payload; returns the stored entry.
 
-        An oversized payload (alone over the byte budget) is returned
-        but not retained — the caller still serves it, it just is not
-        warm next time.
+        The entry holds ``payload`` itself when it is a ``bytes`` object,
+        never a copy.  An oversized payload (alone over the byte budget)
+        is returned but not retained — the caller still serves it, it
+        just is not warm next time.
         """
-        entry = CachedBytes(bytes(payload), etag, float(last_modified))
+        entry = CachedBytes(bytes(payload), etag, float(last_modified), current)
         if self.max_bytes == 0 or self.max_entries == 0:
             return entry
         if len(entry.payload) > self.max_bytes:

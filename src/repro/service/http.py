@@ -69,6 +69,7 @@ from .bytescache import CachedBytes
 from .jobs import Job
 from .spec import OUTPUT_RUN, OUTPUT_SWEEP, ScenarioSpec
 from .service import ExpansionService
+from .store import HEADLINE_VIEW, render_headline
 
 #: Cap scenario request bodies well above any realistic spec.
 MAX_BODY_BYTES = 1 << 20
@@ -135,54 +136,6 @@ def route_template(method: str, path: str) -> str:
         ):
             return template
     return "(unmatched)"
-
-
-def _headline_view(envelope: dict) -> dict:
-    """A ``fields=headline`` reduction of a stored result envelope.
-
-    Keeps the request/identity metadata and each output's headline-size
-    content; the multi-MB blocks (the expanded network, the
-    ``slice_partition`` of every temporal structure, the hierarchy
-    levels) are dropped.
-    """
-    slim: dict[str, Any] = {
-        key: envelope[key]
-        for key in (
-            "type",
-            "envelope_version",
-            "fingerprint",
-            "spec",
-            "dataset_digest",
-        )
-        if key in envelope
-    }
-    slim["fields"] = "headline"
-    outputs: dict[str, Any] = {}
-    for name, payload in envelope.get("outputs", {}).items():
-        if name == "run":
-            outputs[name] = {"headline": payload.get("headline")}
-        elif name == "sweep":
-            outputs[name] = {
-                "axes": payload.get("axes"),
-                "scenarios": [
-                    {
-                        "label": scenario.get("label"),
-                        "overrides": scenario.get("overrides"),
-                        "fingerprint": scenario.get("fingerprint"),
-                        "result_url": scenario.get("result_url"),
-                        "headline": scenario.get("headline"),
-                    }
-                    for scenario in payload.get("scenarios", [])
-                ],
-            }
-        elif name == "rebalance":
-            outputs[name] = payload  # already headline-sized
-        elif name == "report":
-            outputs[name] = {"title": payload.get("title")}
-        else:
-            outputs[name] = payload
-    slim["outputs"] = outputs
-    return slim
 
 
 def _slice_stream_lines(
@@ -546,7 +499,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(202, job.to_dict())
             return
         try:
-            envelope = job.wait(timeout)
+            # The bytes, not a parse: only a meta response needs a dict.
+            payload = job.wait_bytes(timeout)
         except JobTimeoutError as error:
             # The *job* hit its deadline_s (or the watchdog reaped it) —
             # distinct from the request-level wait timeout below, which
@@ -571,7 +525,7 @@ class _Handler(BaseHTTPRequestHandler):
                 200,
                 canonical_json(
                     {
-                        **envelope,
+                        **json.loads(payload),
                         "meta": {
                             "job_id": job.job_id,
                             "trace_id": job.trace_id,
@@ -580,9 +534,9 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
             return
-        # Serve the stored canonical bytes; envelopes are multi-MB, so
-        # re-serialising per request would dominate warm latency.
-        self._send_text(200, job.canonical or canonical_json(envelope))
+        # The stored canonical bytes, unchanged — the same object the
+        # byte cache serves to GET /v1/results/<fp>.
+        self._send_bytes(200, payload)
 
     # ------------------------------------------------------------------
     # Jobs
@@ -649,11 +603,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             if fields == "headline":
                 entry = self.service.results.view_entry(
-                    fingerprint,
-                    "headline",
-                    lambda envelope: canonical_json(
-                        _headline_view(envelope)
-                    ).encode("utf-8"),
+                    fingerprint, HEADLINE_VIEW, render_headline
                 )
             else:
                 entry = self.service.results.raw_entry(fingerprint)

@@ -7,6 +7,13 @@ id, is a result's durable identity (``GET /v1/results/<fp>``), so job
 metadata (timestamps, status) deliberately stays *outside* the result
 envelope, keeping envelopes byte-identical across surfaces.
 
+A job is a status document, not a second copy of its answer: a done
+job holds a reference to the envelope's canonical bytes — the very
+object the results store's byte cache serves — and never a parsed
+envelope or decoded text.  :meth:`Job.wait_bytes` hands those bytes to
+byte consumers (the HTTP front-end, ``--format json``);
+:meth:`Job.wait` parses them on demand for in-process callers.
+
 When the service runs over a shared store (``--store-dir``), every
 lifecycle transition is journalled through a :class:`JobStore` — one
 canonical-JSON job document per id in a ``jobs`` namespace — so a
@@ -67,14 +74,15 @@ class Job:
     _event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
-    _envelope: dict | None = field(default=None, repr=False, compare=False)
-    #: The envelope's canonical-JSON text, set by the service alongside
-    #: :meth:`complete` so surfaces can serve the stored bytes without
-    #: re-serialising multi-MB envelopes per request.
-    canonical: str | None = field(default=None, repr=False, compare=False)
-    #: Per-stage wall-clock block (a ``PerfReport`` envelope) recorded
-    #: while the job's pipeline ran.  Job metadata only — never part of
-    #: the result envelope, which stays byte-identical across surfaces.
+    #: The envelope's canonical bytes once done: the payload object the
+    #: results store seeded into (or read through) its byte cache, never
+    #: a copy.  ``None`` until done, and for a job restored from the
+    #: journal, whose envelope the results store serves.
+    payload: bytes | None = field(default=None, repr=False, compare=False)
+    #: Wall-clock block (a ``PerfReport`` envelope): the ``resolve``
+    #: section timed at submit, the ``results`` lookup, and the stages
+    #: when the pipeline ran.  Job metadata only — never part of the
+    #: result envelope, which stays byte-identical across surfaces.
     timings: dict | None = field(default=None, repr=False, compare=False)
     #: Set by :meth:`request_cancel`; the pipeline polls it at stage
     #: boundaries (cancellation is cooperative — a running stage body
@@ -99,11 +107,11 @@ class Job:
         self.status = RUNNING
         self.started_at = time.time()
 
-    def complete(self, envelope: dict) -> None:
-        """Terminal success: record the envelope and release waiters."""
+    def complete(self, payload: bytes) -> None:
+        """Terminal success: record the envelope bytes, release waiters."""
         if self.finished:
             return
-        self._envelope = envelope
+        self.payload = payload
         self.status = DONE
         self.finished_at = time.time()
         self._event.set()
@@ -158,7 +166,15 @@ class Job:
         return self.cancel_event.is_set() and not self.finished
 
     def wait(self, timeout: float | None = None) -> dict:
-        """Block until the job finishes and return its envelope.
+        """Block until the job finishes and return its envelope, parsed.
+
+        Each call parses :meth:`wait_bytes`'s payload afresh; the job
+        keeps no dict.
+        """
+        return json.loads(self.wait_bytes(timeout))
+
+    def wait_bytes(self, timeout: float | None = None) -> bytes:
+        """Block until the job finishes; its envelope's canonical bytes.
 
         Raises :class:`JobFailedError` if the job failed,
         :class:`JobTimeoutError` if it hit its deadline or went stale,
@@ -179,18 +195,14 @@ class Job:
             )
         if self.status == CANCELLED:
             raise JobCancelledError(f"job {self.job_id} was cancelled")
-        if self._envelope is None:
+        if self.payload is None:
             # A job restored from the journal finished in a previous
             # process; its envelope lives in the results store.
             raise ServiceError(
                 f"job {self.job_id} finished in a previous process; fetch "
                 f"its envelope from the results store as {self.fingerprint}"
             )
-        return self._envelope
-
-    def envelope(self) -> dict | None:
-        """The result envelope, or ``None`` while unfinished/failed."""
-        return self._envelope
+        return self.payload
 
     def to_dict(self) -> dict[str, Any]:
         """Job status document (the ``/v1/jobs/<id>`` body)."""

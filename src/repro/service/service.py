@@ -42,7 +42,6 @@ import codecs
 import csv
 import hashlib
 import io
-import json
 import locale
 import re
 import threading
@@ -799,7 +798,7 @@ class ExpansionService:
         spec: ScenarioSpec | Mapping[str, Any],
         timeout: float | None = None,
     ) -> dict:
-        """Submit and wait; returns the result envelope."""
+        """Submit and wait; returns the result envelope, parsed on demand."""
         return self.submit(spec).wait(timeout)
 
     def job(self, job_id: str) -> Job | None:
@@ -990,7 +989,10 @@ class ExpansionService:
         """Serve ``job`` from the results store, or run it.
 
         ``timer`` carries the ``resolve`` section recorded at submit;
-        the pipeline's stage sections join it in the job's ``timings``.
+        the ``results`` lookup and, when the pipeline runs, its stage
+        sections join it in the job's ``timings``.  Either way the job
+        completes with the byte cache's own payload object: a store hit
+        parses nothing and copies nothing.
         """
         if timer is None:
             timer = StageTimer()
@@ -1001,17 +1003,16 @@ class ExpansionService:
                 # client asked this job to stop, not for its answer).
                 job.mark_cancelled()
                 return
-            stored_text = self.results.raw(job.fingerprint)
-            if stored_text is not None:
-                stored = self._current_envelope(stored_text)
-                if stored is not None:
-                    job.canonical = stored_text
-                    self.obs.store_served.inc()
-                    job.complete(stored)
-                    return
-                # Garbled or written by an older envelope schema (e.g.
-                # v1 sweeps without child fingerprints): recompute and
-                # overwrite, instead of silently serving a stale shape.
+            with timer.section("results"):
+                stored = self.results.raw_entry(job.fingerprint)
+            if stored is not None and stored.current:
+                job.timings = timer.report().to_dict()
+                self.obs.store_served.inc()
+                job.complete(stored.payload)
+                return
+            # Absent, garbled or written by an older envelope schema
+            # (e.g. v1 sweeps without child fingerprints): compute, and
+            # overwrite instead of silently serving a stale shape.
             job.mark_running()
             job.heartbeat = time.monotonic()
             self._journal(job)
@@ -1062,8 +1063,7 @@ class ExpansionService:
             if incremental:
                 timings["incremental"] = incremental
             job.timings = timings
-            job.canonical = self.results.put(job.fingerprint, envelope)
-            job.complete(envelope)
+            job.complete(self.results.put(job.fingerprint, envelope))
         except PipelineCancelledError:
             if job.cancel_event.is_set():
                 job.mark_cancelled()  # an explicit cancel wins the tie
@@ -1085,27 +1085,6 @@ class ExpansionService:
                 # dedup for later submissions of the same scenario).
                 if self._inflight.get(job.fingerprint) is job:
                     del self._inflight[job.fingerprint]
-
-    @staticmethod
-    def _current_envelope(stored_text: str) -> dict | None:
-        """Parse a stored envelope; ``None`` unless it is current-schema.
-
-        The envelope version is what makes the results store safe to
-        persist across upgrades: a stale-shape envelope (or a truncated
-        file) reads as a miss for *new submissions*, which recompute
-        and overwrite it.  Direct ``GET /v1/results/<fp>`` still serves
-        whatever bytes are stored — fetching by explicit fingerprint
-        means "give me exactly that stored result".
-        """
-        try:
-            stored = json.loads(stored_text)
-        except ValueError:
-            return None
-        if not isinstance(stored, dict):
-            return None
-        if stored.get("envelope_version") != ENVELOPE_VERSION:
-            return None
-        return stored
 
     def _build_envelope(
         self,

@@ -19,6 +19,13 @@ GETs revalidate against.  Entries are content-addressed — a
 fingerprint can only ever map to one byte sequence — so the front can
 never serve stale data; an explicit overwrite (schema upgrade
 recompute) still invalidates every cached view first.
+
+The full body's cache entry also carries the schema verdict the service
+needs before it answers a submission from the store
+(:attr:`CachedBytes.current`).  It is judged once per bytes object:
+from the dict in hand at :meth:`ResultsStore.put`, or by one parse when
+the bytes are read from the backend — never on a byte-cache hit — and
+it is dropped with the bytes it describes.
 """
 
 from __future__ import annotations
@@ -26,14 +33,94 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
-from ..serialize import canonical_json
+from ..serialize import ENVELOPE_VERSION, canonical_json
 from ..store import HEX_KEY, DirBackend, MemoryBackend, Namespace
 from .bytescache import BytesLRU, CachedBytes
 
 #: The byte-cache view key of the full stored envelope.
 FULL_VIEW = "full"
+
+#: The byte-cache view key of the ``?fields=headline`` reduction.
+HEADLINE_VIEW = "headline"
+
+
+def _headline_view(envelope: dict) -> dict:
+    """A ``fields=headline`` reduction of a stored result envelope.
+
+    Keeps the request/identity metadata and each output's headline-size
+    content; the multi-MB blocks (the expanded network, the
+    ``slice_partition`` of every temporal structure, the hierarchy
+    levels) are dropped.
+    """
+    slim: dict[str, Any] = {
+        key: envelope[key]
+        for key in (
+            "type",
+            "envelope_version",
+            "fingerprint",
+            "spec",
+            "dataset_digest",
+        )
+        if key in envelope
+    }
+    slim["fields"] = "headline"
+    outputs: dict[str, Any] = {}
+    for name, payload in envelope.get("outputs", {}).items():
+        if name == "run":
+            outputs[name] = {"headline": payload.get("headline")}
+        elif name == "sweep":
+            outputs[name] = {
+                "axes": payload.get("axes"),
+                "scenarios": [
+                    {
+                        "label": scenario.get("label"),
+                        "overrides": scenario.get("overrides"),
+                        "fingerprint": scenario.get("fingerprint"),
+                        "result_url": scenario.get("result_url"),
+                        "headline": scenario.get("headline"),
+                    }
+                    for scenario in payload.get("scenarios", [])
+                ],
+            }
+        elif name == "rebalance":
+            outputs[name] = payload  # already headline-sized
+        elif name == "report":
+            outputs[name] = {"title": payload.get("title")}
+        else:
+            outputs[name] = payload
+    slim["outputs"] = outputs
+    return slim
+
+
+def render_headline(envelope: dict) -> bytes:
+    """The ``?fields=headline`` payload bytes of ``envelope``."""
+    return canonical_json(_headline_view(envelope)).encode("utf-8")
+
+
+def _is_current(envelope: Any) -> bool:
+    """Whether ``envelope`` has the current envelope schema.
+
+    The envelope version is what makes the results store safe to
+    persist across upgrades: a stale-shape envelope (or a truncated
+    file) reads as a miss for *new submissions*, which recompute and
+    overwrite it.  Direct ``GET /v1/results/<fp>`` still serves
+    whatever bytes are stored — fetching by explicit fingerprint means
+    "give me exactly that stored result".
+    """
+    return (
+        isinstance(envelope, dict)
+        and envelope.get("envelope_version") == ENVELOPE_VERSION
+    )
+
+
+def _parses_current(data: bytes) -> bool:
+    """:func:`_is_current` for stored bytes: one full parse."""
+    try:
+        return _is_current(json.loads(data))
+    except ValueError:  # truncated/garbled entry (UnicodeDecodeError too)
+        return False
 
 
 def results_namespace(backend) -> Namespace:
@@ -99,13 +186,14 @@ class ResultsStore:
             return stat.accessed
         return time.time()
 
-    def _seed(self, fingerprint: str, data: bytes) -> CachedBytes:
+    def _seed(self, fingerprint: str, data: bytes, current: bool) -> CachedBytes:
         return self.bytes_cache.put(
             fingerprint,
             FULL_VIEW,
             data,
             etag=fingerprint,
             last_modified=self._last_modified(fingerprint),
+            current=current,
         )
 
     def raw_entry(self, fingerprint: str) -> CachedBytes | None:
@@ -113,7 +201,8 @@ class ResultsStore:
 
         Warm fingerprints come straight from the byte cache — no
         backend read, no decode, no parse; only the first read of a
-        fingerprint touches backend bytes.
+        fingerprint touches backend bytes, and parses them once for the
+        entry's schema verdict (:attr:`CachedBytes.current`).
         """
         entry = self.bytes_cache.get(fingerprint, FULL_VIEW)
         if entry is not None:
@@ -122,7 +211,7 @@ class ResultsStore:
         data = self.namespace.get(fingerprint)
         if data is None:
             return None
-        return self._seed(fingerprint, data)
+        return self._seed(fingerprint, data, _parses_current(data))
 
     def view_entry(
         self,
@@ -146,7 +235,7 @@ class ResultsStore:
         full = self.raw_entry(fingerprint)
         if full is None:
             return None
-        payload = build(json.loads(full.payload.decode("utf-8")))
+        payload = build(json.loads(full.payload))
         return self.bytes_cache.put(
             fingerprint,
             view,
@@ -169,20 +258,23 @@ class ResultsStore:
         return entry.payload.decode("utf-8") if entry is not None else None
 
     def get(self, fingerprint: str) -> dict | None:
-        """The stored envelope as a dict, or ``None``."""
-        text = self.raw(fingerprint)
-        if text is None:
+        """The stored envelope as a dict (parsed per call), or ``None``."""
+        entry = self.raw_entry(fingerprint)
+        if entry is None:
             return None
         try:
-            return json.loads(text)
+            return json.loads(entry.payload)
         except ValueError:
             return None  # truncated/garbled entry: treat as a miss
 
-    def put(self, fingerprint: str, envelope: dict) -> str:
-        """Store ``envelope``; returns the canonical text written."""
+    def put(self, fingerprint: str, envelope: dict) -> bytes:
+        """Store ``envelope``; returns the payload seeded into the byte cache.
+
+        The headline view is rendered from the dict in hand too, so the
+        first ``GET ?fields=headline`` after a run parses nothing.
+        """
         self.namespace.check_key(fingerprint)
-        text = canonical_json(envelope)
-        data = text.encode("utf-8")
+        data = canonical_json(envelope).encode("utf-8")
         try:
             self.namespace.put(fingerprint, data)
         except OSError:
@@ -194,11 +286,18 @@ class ResultsStore:
             if self.breaker is not None:
                 self.breaker.record_success()
         # Views rendered from any previous bytes die with the overwrite
-        # (schema-upgrade recompute); the fresh full body is seeded so
-        # the first GET after a run is already warm.
+        # (schema-upgrade recompute); the fresh full body and headline
+        # are seeded so the first GETs after a run are already warm.
         self.bytes_cache.invalidate(fingerprint)
-        self._seed(fingerprint, data)
-        return text
+        entry = self._seed(fingerprint, data, _is_current(envelope))
+        self.bytes_cache.put(
+            fingerprint,
+            HEADLINE_VIEW,
+            render_headline(envelope),
+            etag=entry.etag,
+            last_modified=entry.last_modified,
+        )
+        return entry.payload
 
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self.namespace

@@ -10,6 +10,8 @@ Two dataset scales are provided:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import NetworkExpansionOptimiser
@@ -107,6 +109,26 @@ def paper_runner_result():
 
     require_numpy()
     return PipelineRunner(generate_paper_dataset(seed=7), jobs=2).run()
+
+
+@pytest.fixture()
+def envelope_parses(monkeypatch):
+    """Every ``json.loads`` call that returns a result envelope.
+
+    Returns the list each such call appends its input's length to, so a
+    test can pin how often the serving path parses stored envelopes.
+    """
+    loads = json.loads
+    parses: list[int] = []
+
+    def counting(data, *args, **kwargs):
+        value = loads(data, *args, **kwargs)
+        if isinstance(value, dict) and value.get("type") == "ResultEnvelope":
+            parses.append(len(data))
+        return value
+
+    monkeypatch.setattr(json, "loads", counting)
+    return parses
 
 
 def pytest_addoption(parser):

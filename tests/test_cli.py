@@ -282,6 +282,23 @@ class TestStoreDir:
         )
         assert stored  # the tree holds canonical envelopes
 
+    def test_replay_prints_resolve_and_results_timings(self, tmp_path, capsys):
+        """A store-served `repro run --timings` still says where its time
+        went: the `resolve` and `results` sections, and no stage."""
+        cli.main(["generate", "--seed", "11", "--out", str(tmp_path / "data")])
+        argv = [
+            "run", "--data", str(tmp_path / "data"),
+            "--store-dir", str(tmp_path / "store"), "--timings",
+        ]
+        assert cli.main(argv) == 0
+        assert "stage:" in capsys.readouterr().out
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        block = out[out.index("PER-STAGE WALL CLOCK"):].splitlines()
+        names = {line.split()[0] for line in block[1:]}
+        assert {"resolve", "results", "total"} <= names
+        assert "stage:" not in out
+
     def test_sharded_backend_via_flag(self, tmp_path, capsys):
         store = tmp_path / "store"
         code = cli.main(

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.service import ExpansionService, make_server
+from repro.service.store import render_headline
 
 #: Response headers legitimately allowed to differ between two
 #: otherwise-identical exchanges (each request mints its own trace id).
@@ -370,6 +371,48 @@ class TestWarmBytes:
         after = cache.stats()
         assert after["hits"] - before["hits"] == 5
         assert after["misses"] == before["misses"]
+
+    def test_warm_post_sends_the_stored_bytes(self, server):
+        """A store-served ``POST /v1/runs`` answers with the cached body."""
+        run = {"dataset": {"kind": "named", "name": "small"}}
+        _, _, first = exchange(server, "POST", "/v1/runs", body=run)
+        fingerprint = json.loads(first)["fingerprint"]
+        _, _, stored = exchange(server, "GET", f"/v1/results/{fingerprint}")
+        cache = server.service.results.bytes_cache
+        before = cache.stats()
+        status, headers, posted = exchange(server, "POST", "/v1/runs", body=run)
+        assert status == 200
+        assert posted == stored
+        assert int(header(headers, "Content-Length")) == len(posted)
+        after = cache.stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] > before["hits"]
+
+    def test_compute_seeds_the_headline_view(self, server):
+        """The first ``?fields=headline`` after a run is a byte-cache hit,
+        with the bytes a view built from the stored envelope has."""
+        status, _, body = exchange(
+            server, "POST", "/v1/runs",
+            body={
+                "dataset": {"kind": "named", "name": "small"},
+                "overrides": {"community.seed": 777},
+            },
+        )
+        assert status == 200
+        fingerprint = json.loads(body)["fingerprint"]
+        path = f"/v1/results/{fingerprint}?fields=headline"
+        cache = server.service.results.bytes_cache
+        before = cache.stats()
+        status, _, seeded = exchange(server, "GET", path)
+        assert status == 200
+        assert cache.stats()["misses"] == before["misses"]
+        assert seeded == render_headline(json.loads(body))
+        # Dropped, the view is built again from the stored bytes.
+        cache.invalidate(fingerprint)
+        status, _, built = exchange(server, "GET", path)
+        assert status == 200
+        assert cache.stats()["misses"] > before["misses"]
+        assert built == seeded
 
 
 @pytest.mark.slow

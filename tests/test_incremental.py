@@ -511,7 +511,7 @@ class TestIncrementalService:
             assert block["slices_recomputed"] >= 1
             assert service.incremental_runs == 1
             assert service.stats()["ingestion"]["incremental_runs"] == 1
-            incremental_canonical = incremental_job.canonical
+            incremental_payload = incremental_job.payload
 
             # The in-flight entry is cleared moments *after* waiters
             # unblock; drain it so the next submission cannot join the
@@ -539,7 +539,7 @@ class TestIncrementalService:
             assert cold_block.get("mode") != "incremental"
             assert not cold_block.get("stages_merged")
 
-            assert cold_job.canonical == incremental_canonical
+            assert cold_job.payload == incremental_payload
             assert cold_envelope == incremental_envelope
         finally:
             service.close()

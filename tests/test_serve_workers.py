@@ -5,7 +5,8 @@ A real fleet — forked processes sharing one port and one
 same warm bytes, a job executed by one worker is visible from its
 siblings through the shared journal, ``SIGTERM`` to the parent reaps
 the whole fleet, and the default (``--workers 1``) stays the plain
-single-process server.
+single-process server — one whose memory store-served replays do not
+grow.
 """
 
 import http.client
@@ -239,3 +240,46 @@ class TestSingleWorkerDefault:
         )
         assert proc.returncode == 2
         assert "--store-dir" in proc.stderr
+
+
+def vm_rss_kib(pid):
+    """The resident set size of process ``pid`` in KiB, from ``/proc``."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1])
+    raise AssertionError(f"no VmRSS line for pid {pid}")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc"
+)
+class TestReplayMemory:
+    def test_replays_keep_no_envelope_in_the_server(self, tmp_path):
+        """40 store-served POSTs of a paper-scale scenario (a 7.4 MB
+        envelope) leave the server's resident memory within 32 MiB."""
+        pytest.importorskip("numpy")
+        proc, base = boot_serve(tmp_path / "store")
+        run = {"dataset": {"kind": "synthetic", "seed": 7}}
+        try:
+            conn = connect(base)
+            conn.sock.settimeout(900)  # the first POST runs the pipeline
+            try:
+                status, _, stored = on_conn(conn, "POST", "/v1/runs", body=run)
+                assert status == 200
+                before = vm_rss_kib(proc.pid)
+                for _ in range(40):
+                    status, _, body = on_conn(
+                        conn, "POST", "/v1/runs", body=run
+                    )
+                    assert status == 200
+                    assert body == stored
+                grown_mib = (vm_rss_kib(proc.pid) - before) / 1024
+            finally:
+                conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=60)
+        assert grown_mib <= 32, (
+            f"40 replays grew the server by {grown_mib:.0f} MiB"
+        )

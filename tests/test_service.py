@@ -184,6 +184,46 @@ class TestResultsStore:
         assert stored["envelope_version"] == ENVELOPE_VERSION  # overwritten
 
 
+def holds_no_envelope(job) -> bool:
+    """Whether ``job`` keeps neither a parsed envelope nor its text."""
+    for value in vars(job).values():
+        if isinstance(value, dict) and value.get("type") == "ResultEnvelope":
+            return False
+        if isinstance(value, str) and "ResultEnvelope" in value:
+            return False
+    return True
+
+
+class TestStoredBytes:
+    """A store-served job completes with the byte cache's own payload."""
+
+    def test_replays_parse_once_and_hold_the_cached_bytes(
+        self, service, envelope_parses
+    ):
+        spec = small_spec(overrides={"community.seed": 4242})
+        computed = service.submit(spec)
+        computed.wait_bytes(300)
+        cache = service.results.bytes_cache
+        assert computed.payload is cache.get(computed.fingerprint, "full").payload
+        # Drop the cached body: the first replay reads the backend, the
+        # other nineteen are byte-cache hits.
+        cache.invalidate(computed.fingerprint)
+        del envelope_parses[:]
+        executions = service.pipeline_executions
+        replays = []
+        for _ in range(20):
+            job = service.submit(spec)
+            job.wait_bytes(300)
+            replays.append(job)
+        assert service.pipeline_executions == executions
+        assert len(envelope_parses) == 1
+        cached = cache.get(computed.fingerprint, "full").payload
+        assert cached == computed.payload
+        assert all(job.payload is cached for job in replays)
+        assert all(holds_no_envelope(job) for job in [computed, *replays])
+        assert "results" in {s["name"] for s in replays[-1].timings["sections"]}
+
+
 class TestFailures:
     def test_missing_named_dataset(self, service):
         with pytest.raises(ServiceError):

@@ -77,7 +77,7 @@ class TestServiceCancel:
             with pytest.raises(JobCancelledError):
                 queued.wait(300)
             assert queued.status == CANCELLED
-            assert queued.envelope() is None
+            assert queued.payload is None
             assert queued.finished
 
     def test_cancel_unknown_job_returns_none(self, small_raw):

@@ -121,7 +121,7 @@ class TestCsvMemo:
             warm = run(second, spec)
             assert second.pipeline_executions == 0
         assert warm.fingerprint == cold.fingerprint
-        assert warm.canonical == cold.canonical
+        assert warm.payload == cold.payload
 
     def test_same_size_edit_with_restored_mtime_recomputes(
         self, csv_dir, open_service
@@ -143,8 +143,8 @@ class TestCsvMemo:
             after = run(service, spec)
             assert service.pipeline_executions == 2
         edited = dataset_digest(MobyDataset.from_csv(csv_dir))
-        assert json.loads(after.canonical)["dataset_digest"] == edited
-        assert json.loads(before.canonical)["dataset_digest"] != edited
+        assert json.loads(after.payload)["dataset_digest"] == edited
+        assert json.loads(before.payload)["dataset_digest"] != edited
         assert after.fingerprint != before.fingerprint
         with open_service() as later:
             _, digest = later._resolve_ref(spec.dataset)
@@ -160,7 +160,7 @@ class TestCsvMemo:
         spec = csv_spec(csv_dir)
         with open_service() as first:
             cold = run(first, spec)
-            digest = json.loads(cold.canonical)["dataset_digest"]
+            digest = json.loads(cold.payload)["dataset_digest"]
             (key,) = memo_keys(first, digest)
             namespace = first.cache.namespace
             if tamper == "deleted":
@@ -175,7 +175,7 @@ class TestCsvMemo:
             assert second.pipeline_executions == 0
             assert memo_keys(second, digest) == [key]  # rewritten
         assert len(log.threads) == 1 and log.digests == 1
-        assert warm.canonical == cold.canonical
+        assert warm.payload == cold.payload
 
     @reopens_store
     def test_memo_hit_with_results_miss_parses_once_in_the_job(
@@ -201,7 +201,7 @@ class TestCsvMemo:
         assert "digest" not in children
         with ExpansionService() as cold:
             reference = run(cold, spec)
-        assert job.canonical == reference.canonical
+        assert job.payload == reference.payload
 
     def test_cold_submission_times_parse_and_digest(self, csv_dir, open_service):
         with open_service() as service:

@@ -40,7 +40,7 @@ def test_everything_survives_a_restart(small_raw, tmp_path, backend):
         job = first.submit(spec)
         envelope = job.wait(timeout=300)
         fingerprint = job.fingerprint
-        canonical = job.canonical
+        payload = job.payload
         executions = first.pipeline_executions
         assert executions == 1
 
@@ -52,13 +52,13 @@ def test_everything_survives_a_restart(small_raw, tmp_path, backend):
         assert restored[job.job_id].fingerprint == fingerprint
         assert second.jobs_restored == 1 and second.jobs_requeued == 0
         # Results: the stored canonical bytes are served unchanged.
-        assert second.results.raw(fingerprint) == canonical
+        assert second.results.raw_entry(fingerprint).payload == payload
         # Datasets: resolvable by name with the same content digest.
         assert second.datasets.digest("small") == meta["digest"]
         # Stage cache + results store: resubmitting is pure lookup.
         again = second.submit(spec).wait(timeout=300)
         assert second.pipeline_executions == 0
-        assert canonical_json(again) == canonical
+        assert canonical_json(again).encode() == payload
         # New work re-uses the warm stage prefix: only the community
         # cone recomputes, so clean/candidates/network never re-run.
         warm = second.submit(
@@ -75,6 +75,40 @@ def test_everything_survives_a_restart(small_raw, tmp_path, backend):
         assert stats["store"]["results"]["entries"] >= 2
         assert stats["store"]["jobs"]["entries"] >= 1
         assert stats["store"]["datasets"]["entries"] == 1
+
+
+@pytest.mark.parametrize("backend", ["dir", "sharded"])
+def test_restarted_service_checks_stored_bytes_once(
+    small_raw, tmp_path, backend, envelope_parses
+):
+    """The schema check parses a stored envelope once per backend read."""
+    store_dir = tmp_path / "store"
+    spec = ScenarioSpec(dataset=DatasetRef.named("small"))
+    with make_service(store_dir, backend) as first:
+        first.register_dataset("small", small_raw)
+        stored = first.submit(spec).wait_bytes(timeout=300)
+    del envelope_parses[:]
+    with make_service(store_dir, backend) as second:
+        for _ in range(5):
+            assert second.submit(spec).wait_bytes(timeout=300) == stored
+        assert second.pipeline_executions == 0
+    assert envelope_parses == [len(stored)]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-json"])
+def test_garbled_stored_envelope_is_recomputed(small_raw, tmp_path, damage):
+    store_dir = tmp_path / "store"
+    spec = ScenarioSpec(dataset=DatasetRef.named("small"))
+    with make_service(store_dir) as first:
+        first.register_dataset("small", small_raw)
+        job = first.submit(spec)
+        stored = job.wait_bytes(timeout=300)
+        garbled = stored[: len(stored) // 2] if damage == "truncated" else b"\xff"
+        first.results.namespace.put(job.fingerprint, garbled)
+    with make_service(store_dir) as second:
+        assert second.submit(spec).wait_bytes(timeout=300) == stored
+        assert second.pipeline_executions == 1
+        assert second.results.namespace.get(job.fingerprint) == stored
 
 
 def test_queued_and_running_jobs_are_requeued(small_raw, tmp_path):
