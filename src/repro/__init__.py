@@ -46,47 +46,37 @@ Sub-packages: :mod:`repro.geo` (geospatial substrate), :mod:`repro.data`
 staged runner), :mod:`repro.viz` and :mod:`repro.reporting`.
 """
 
-from .config import (
-    ClusteringConfig,
-    CommunityConfig,
-    PAPER_CONFIG,
-    PipelineConfig,
-    SelectionConfig,
-    TemporalCommunityConfig,
-)
-from .core import (
-    ExpansionResult,
-    NetworkExpansionOptimiser,
-    validate_expansion,
-)
-from .data import MobyDataset, clean_dataset
-from .exceptions import ReproError
-from .pipeline import PipelineRunner, StageCache, config_grid, run_sweep
-from .service import DatasetRef, ExpansionService, ScenarioSpec
-from .synth import SyntheticMobyGenerator, generate_paper_dataset
+from ._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "ClusteringConfig",
-    "CommunityConfig",
-    "DatasetRef",
-    "ExpansionResult",
-    "ExpansionService",
-    "MobyDataset",
-    "NetworkExpansionOptimiser",
-    "PAPER_CONFIG",
-    "PipelineConfig",
-    "PipelineRunner",
-    "ReproError",
-    "ScenarioSpec",
-    "SelectionConfig",
-    "StageCache",
-    "SyntheticMobyGenerator",
-    "TemporalCommunityConfig",
-    "clean_dataset",
-    "config_grid",
-    "generate_paper_dataset",
-    "run_sweep",
-    "validate_expansion",
-]
+#: Public name -> defining module, imported on first use, so that
+#: ``import repro`` (and every ``python -m repro`` command) loads only
+#: the code a caller actually touches.
+_EXPORTS = {
+    "ClusteringConfig": ".config",
+    "CommunityConfig": ".config",
+    "DatasetRef": ".service",
+    "ExpansionResult": ".core",
+    "ExpansionService": ".service",
+    "MobyDataset": ".data",
+    "NetworkExpansionOptimiser": ".core",
+    "PAPER_CONFIG": ".config",
+    "PipelineConfig": ".config",
+    "PipelineRunner": ".pipeline",
+    "ReproError": ".exceptions",
+    "ScenarioSpec": ".service",
+    "SelectionConfig": ".config",
+    "StageCache": ".pipeline",
+    "SyntheticMobyGenerator": ".synth",
+    "TemporalCommunityConfig": ".config",
+    "clean_dataset": ".data",
+    "config_grid": ".pipeline",
+    "generate_paper_dataset": ".synth",
+    "run_sweep": ".pipeline",
+    "validate_expansion": ".core",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

@@ -40,6 +40,10 @@ Three subcommands are clients of a *running* ``repro serve`` instead
   (``GET /v1/metrics``, see ``docs/OBSERVABILITY.md``).
 
 Invoke as ``python -m repro <subcommand> --help``.
+
+Each subcommand imports the code it runs when it runs: a ``repro run``
+answered from the results store loads the service and the table
+layouts, never the pipeline, the HTTP server or numpy.
 """
 
 from __future__ import annotations
@@ -47,24 +51,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import urllib.error
-import urllib.request
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .analysis.rebalancing import RebalancingPlan
-from .core.results import ExpansionResult
-from .data import MobyDataset, clean_dataset
 from .exceptions import ConfigError
-from .reporting import experiment_table1, format_table
-from .service import (
-    DatasetRef,
-    ExpansionService,
-    Job,
-    ScenarioSpec,
-    make_server,
-)
-from .synth import SyntheticMobyGenerator
+
+if TYPE_CHECKING:
+    from .service import DatasetRef, ExpansionService, Job, ScenarioSpec
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
@@ -365,6 +358,9 @@ def _http_request(
     exit non-zero.  Connection failures raise ``URLError`` and are
     translated by :func:`_client_call`.
     """
+    import urllib.error
+    import urllib.request
+
     data = json.dumps(body).encode("utf-8") if body is not None else None
     request = urllib.request.Request(
         url,
@@ -383,6 +379,8 @@ def _client_call(
     url: str, method: str = "GET", body: Any | None = None
 ) -> tuple[int, str] | None:
     """:func:`_http_request` with connection errors reported, not raised."""
+    import urllib.error
+
     try:
         return _http_request(url, method, body)
     except urllib.error.URLError as error:
@@ -409,6 +407,8 @@ def _print_response(status: int, text: str) -> int:
 
 
 def _dataset_ref(args: argparse.Namespace) -> DatasetRef:
+    from .service.spec import DatasetRef
+
     if getattr(args, "data", None) is not None:
         return DatasetRef.csv(args.data)
     return DatasetRef.synthetic(args.seed)
@@ -424,6 +424,8 @@ def _make_service(args: argparse.Namespace) -> ExpansionService:
     deprecated ``--cache-dir`` alias keeps its historical behaviour:
     stage pickles there, result envelopes under ``<cache-dir>/results``.
     """
+    from .service.service import ExpansionService
+
     store_dir = getattr(args, "store_dir", None)
     cache_dir = getattr(args, "cache_dir", None)
     if store_dir is None and getattr(args, "store_backend", None):
@@ -488,6 +490,8 @@ def _print_payload(payload: bytes) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .synth import SyntheticMobyGenerator
+
     dataset = SyntheticMobyGenerator(seed=args.seed).generate()
     dataset.to_csv(args.out)
     print(
@@ -498,6 +502,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
+    from .data import MobyDataset, clean_dataset
+    from .reporting import experiment_table1
+
     raw = MobyDataset.from_csv(args.data)
     cleaned, report = clean_dataset(raw)
     print(experiment_table1(report).text)
@@ -535,6 +542,8 @@ def _parse_axis(spec: str) -> tuple[str, list]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .service.spec import ScenarioSpec
+
     job = _run_scenario(
         args, ScenarioSpec(dataset=_dataset_ref(args), outputs=("run",))
     )
@@ -551,28 +560,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 0
-    from .reporting import (
-        experiment_table2,
-        experiment_table3,
-        experiment_table4,
-        experiment_table5,
-        experiment_table6,
-    )
+    from .reporting.paper_tables import tables_from_envelope
 
-    result = ExpansionResult.from_dict(job.wait()["outputs"]["run"])
-    for output in (
-        experiment_table1(result.cleaning_report),
-        experiment_table2(result),
-        experiment_table3(result),
-        experiment_table4(result),
-        experiment_table5(result),
-        experiment_table6(result),
-    ):
+    # The tables are counted from the envelope dict itself; no pipeline
+    # object is rebuilt unless figures are asked for.
+    run = job.wait()["outputs"]["run"]
+    for output in tables_from_envelope(run):
         print(output.text)
         print()
     if args.figures is not None:
+        from .core.results import ExpansionResult
         from .viz import render_community_map, render_selected_map
 
+        result = ExpansionResult.from_dict(run)
         args.figures.mkdir(parents=True, exist_ok=True)
         render_selected_map(result.network).save(
             args.figures / "fig2_selected_map.svg"
@@ -595,6 +595,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .service.spec import ScenarioSpec
+
     axes: dict[str, list] = {}
     for spec in args.axes:
         path, values = _parse_axis(spec)
@@ -624,6 +626,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
+    from .analysis.rebalancing import RebalancingPlan
+    from .reporting.tables import format_table
+    from .service.spec import ScenarioSpec
+
     job = _run_scenario(
         args,
         ScenarioSpec(
@@ -667,6 +673,8 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .service.spec import ScenarioSpec
+
     job = _run_scenario(
         args,
         ScenarioSpec(
@@ -688,6 +696,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs import JsonEventLog
     from .service.datasets import DEFAULT_MAX_DATASET_BYTES
+    from .service.http import make_server
+    from .service.service import ExpansionService
 
     def build_service(
         event_log: "JsonEventLog | None", worker: int, resume_jobs: bool
@@ -802,6 +812,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
                 {"rentals": rows},
             )
         else:
+            from .data import MobyDataset
+            from .synth import SyntheticMobyGenerator
+
             if args.data is not None:
                 dataset = MobyDataset.from_csv(args.data)
             else:
@@ -823,6 +836,9 @@ def _cmd_results(args: argparse.Namespace) -> int:
     if args.stream is not None:
         if args.fields or args.section or args.page or args.page_size:
             raise ConfigError("--stream excludes --fields/--section/--page")
+        import urllib.error
+        import urllib.request
+
         url = (
             f"{base}/v1/results/{args.fingerprint}/slices"
             f"?output=run&block={args.stream}"

@@ -1,90 +1,52 @@
 """The paper's core contribution: the network-expansion pipeline."""
 
-from .candidates import (
-    CandidateGraphStats,
-    CandidateNetwork,
-    GroupKey,
-    build_candidate_network,
-    condense_locations,
-    project_candidate_flow,
-)
-from .expansion import (
-    ExpansionResult,
-    N_DAY_SLICES,
-    N_HOUR_SLICES,
-    NetworkExpansionOptimiser,
-)
-from .graphs import (
-    KIND_FIXED,
-    KIND_SELECTED,
-    SelectedNetwork,
-    SelectedNetworkStats,
-    Station,
-    TripOD,
-    assign_locations_to_stations,
-    build_selected_network,
-    build_station_set,
-    project_trip,
-)
-from .profiles import (
-    CommunityRow,
-    DAY_NAMES,
-    commute_peak_share,
-    community_table,
-    daily_profile,
-    hourly_profile,
-    midday_share,
-    self_containment,
-    weekend_share,
-)
-from .selection import (
-    CandidateScore,
-    REJECT_BELOW_DEGREE,
-    REJECT_NEAR_CANDIDATE,
-    REJECT_NEAR_STATION,
-    SelectionResult,
-    check_pairwise_distance,
-    select_stations,
-)
-from .validation import ValidationReport, validate_expansion
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidateGraphStats",
-    "CandidateNetwork",
-    "CandidateScore",
-    "CommunityRow",
-    "DAY_NAMES",
-    "ExpansionResult",
-    "GroupKey",
-    "KIND_FIXED",
-    "KIND_SELECTED",
-    "N_DAY_SLICES",
-    "N_HOUR_SLICES",
-    "NetworkExpansionOptimiser",
-    "REJECT_BELOW_DEGREE",
-    "REJECT_NEAR_CANDIDATE",
-    "REJECT_NEAR_STATION",
-    "SelectedNetwork",
-    "SelectedNetworkStats",
-    "SelectionResult",
-    "Station",
-    "TripOD",
-    "ValidationReport",
-    "assign_locations_to_stations",
-    "build_candidate_network",
-    "build_selected_network",
-    "build_station_set",
-    "condense_locations",
-    "project_candidate_flow",
-    "project_trip",
-    "check_pairwise_distance",
-    "community_table",
-    "commute_peak_share",
-    "daily_profile",
-    "hourly_profile",
-    "midday_share",
-    "select_stations",
-    "self_containment",
-    "validate_expansion",
-    "weekend_share",
-]
+#: Public name -> defining module, imported on first use.  The staged
+#: runner imports this package's submodules and ``core.expansion``
+#: imports the runner, so eager exports would make the import order
+#: decide whether either can load.
+_EXPORTS = {
+    "CandidateGraphStats": ".candidates",
+    "CandidateNetwork": ".candidates",
+    "CandidateScore": ".selection",
+    "CommunityRow": ".profiles",
+    "DAY_NAMES": ".profiles",
+    "ExpansionResult": ".expansion",
+    "GroupKey": ".candidates",
+    "KIND_FIXED": ".graphs",
+    "KIND_SELECTED": ".graphs",
+    "N_DAY_SLICES": ".expansion",
+    "N_HOUR_SLICES": ".expansion",
+    "NetworkExpansionOptimiser": ".expansion",
+    "REJECT_BELOW_DEGREE": ".selection",
+    "REJECT_NEAR_CANDIDATE": ".selection",
+    "REJECT_NEAR_STATION": ".selection",
+    "SelectedNetwork": ".graphs",
+    "SelectedNetworkStats": ".graphs",
+    "SelectionResult": ".selection",
+    "Station": ".graphs",
+    "TripOD": ".graphs",
+    "ValidationReport": ".validation",
+    "assign_locations_to_stations": ".graphs",
+    "build_candidate_network": ".candidates",
+    "build_selected_network": ".graphs",
+    "build_station_set": ".graphs",
+    "check_pairwise_distance": ".selection",
+    "community_table": ".profiles",
+    "commute_peak_share": ".profiles",
+    "condense_locations": ".candidates",
+    "daily_profile": ".profiles",
+    "hourly_profile": ".profiles",
+    "midday_share": ".profiles",
+    "project_candidate_flow": ".candidates",
+    "project_trip": ".graphs",
+    "select_stations": ".selection",
+    "self_containment": ".profiles",
+    "validate_expansion": ".validation",
+    "weekend_share": ".profiles",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

@@ -23,6 +23,7 @@ from ..config import ClusteringConfig
 from ..data import MobyDataset
 from ..geo import GeoPoint
 from ..graphdb import DirectedGraph, WeightedGraph
+from ..reporting.paper_tables import TABLE2_ROWS
 
 #: A candidate-graph node: ("station", location_id) or ("cluster", id).
 GroupKey = tuple[str, int]
@@ -41,14 +42,7 @@ class CandidateGraphStats:
 
     def as_rows(self) -> list[tuple[str, int]]:
         """(measure, value) rows in the paper's order."""
-        return [
-            ("#nodes", self.n_nodes),
-            ("#undirected edges", self.n_undirected_edges),
-            ("#undirected edges (no loops)", self.n_undirected_edges_no_loops),
-            ("#directed edges", self.n_directed_edges),
-            ("#directed edges (no loops)", self.n_directed_edges_no_loops),
-            ("#trips", self.n_trips),
-        ]
+        return [(measure, getattr(self, key)) for measure, key in TABLE2_ROWS]
 
     def to_dict(self) -> dict[str, int]:
         """JSON-safe envelope (field name -> count)."""

@@ -13,6 +13,7 @@ of Section IV-C fall out:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -21,12 +22,15 @@ from ..data import MobyDataset
 from ..exceptions import CommunityError
 from ..geo import GeoPoint
 from ..graphdb import DirectedGraph, WeightedGraph
+from ..reporting.paper_tables import (
+    KIND_FIXED,
+    KIND_SELECTED,
+    od_pair_counts,
+    selected_graph_counts,
+)
 from ..serialize import check_envelope
 from .candidates import CandidateNetwork
 from .selection import SelectionResult
-
-KIND_FIXED = "fixed"
-KIND_SELECTED = "selected"
 
 
 @dataclass(frozen=True)
@@ -217,35 +221,25 @@ class SelectedNetwork:
     # Table III
     # ------------------------------------------------------------------
 
+    def station_kinds(self) -> dict[int, str]:
+        """Station id -> kind (``fixed`` or ``selected``)."""
+        return {
+            station_id: station.kind
+            for station_id, station in self.stations.items()
+        }
+
+    def od_pair_counts(self) -> Counter:
+        """Trips per distinct (origin, destination) station pair.
+
+        Each pair is one edge of :meth:`directed_flow`, weighted by its
+        count; the Table III-VI counts read these pairs, not the graph.
+        """
+        return od_pair_counts((trip.origin, trip.destination) for trip in self.trips)
+
     def stats(self) -> "SelectedNetworkStats":
         """The paper's Table III for this network."""
-        fixed = set(self.fixed_station_ids)
-        trips_from_fixed = sum(1 for trip in self.trips if trip.origin in fixed)
-        trips_to_fixed = sum(1 for trip in self.trips if trip.destination in fixed)
-        flow = self.directed_flow()
-        edges_from_fixed = 0
-        edges_to_fixed = 0
-        total_edges = 0
-        for u, v, _ in flow.edges():
-            total_edges += 1
-            if u in fixed:
-                edges_from_fixed += 1
-            if v in fixed:
-                edges_to_fixed += 1
-        n_trips = len(self.trips)
         return SelectedNetworkStats(
-            n_fixed=len(fixed),
-            n_selected=len(self.selected_station_ids),
-            trips_from_fixed=trips_from_fixed,
-            trips_to_fixed=trips_to_fixed,
-            trips_from_selected=n_trips - trips_from_fixed,
-            trips_to_selected=n_trips - trips_to_fixed,
-            edges_from_fixed=edges_from_fixed,
-            edges_to_fixed=edges_to_fixed,
-            edges_from_selected=total_edges - edges_from_fixed,
-            edges_to_selected=total_edges - edges_to_fixed,
-            n_trips=n_trips,
-            n_directed_edges=total_edges,
+            **selected_graph_counts(self.station_kinds(), self.od_pair_counts())
         )
 
 

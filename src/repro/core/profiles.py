@@ -13,34 +13,20 @@ plots after community detection:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..community import Partition
+from ..reporting.paper_tables import (
+    CommunityRow,
+    community_rows,
+    od_pair_counts,
+    self_contained_share,
+)
 from .graphs import Station, TripOD
 
 DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 
-@dataclass(frozen=True)
-class CommunityRow:
-    """One row of the paper's community tables."""
-
-    community: int
-    n_old_stations: int
-    n_new_stations: int
-    trips_within: int
-    trips_out: int
-    trips_in: int
-
-    @property
-    def n_stations(self) -> int:
-        """Total stations in the community."""
-        return self.n_old_stations + self.n_new_stations
-
-    @property
-    def trips_total(self) -> int:
-        """Within + out + in (the paper's Total column)."""
-        return self.trips_within + self.trips_out + self.trips_in
+def _pairs(trips: list[TripOD]):
+    return od_pair_counts((trip.origin, trip.destination) for trip in trips)
 
 
 def community_table(
@@ -53,51 +39,16 @@ def community_table(
     Stations missing from the partition (possible when a station has no
     trips at the given granularity) are skipped in the station counts.
     """
-    labels = partition.labels()
-    old_counts = {label: 0 for label in labels}
-    new_counts = {label: 0 for label in labels}
-    for station_id, station in stations.items():
-        if station_id not in partition:
-            continue
-        label = partition[station_id]
-        if station.is_new:
-            new_counts[label] += 1
-        else:
-            old_counts[label] += 1
-
-    within = {label: 0 for label in labels}
-    out = {label: 0 for label in labels}
-    into = {label: 0 for label in labels}
-    for trip in trips:
-        origin_label = partition[trip.origin]
-        destination_label = partition[trip.destination]
-        if origin_label == destination_label:
-            within[origin_label] += 1
-        else:
-            out[origin_label] += 1
-            into[destination_label] += 1
-
-    return [
-        CommunityRow(
-            community=label,
-            n_old_stations=old_counts[label],
-            n_new_stations=new_counts[label],
-            trips_within=within[label],
-            trips_out=out[label],
-            trips_in=into[label],
-        )
-        for label in labels
-    ]
+    return community_rows(
+        {station_id: station.kind for station_id, station in stations.items()},
+        _pairs(trips),
+        partition.assignment,
+    )
 
 
 def self_containment(trips: list[TripOD], partition: Partition) -> float:
     """Fraction of trips starting and ending in the same community."""
-    if not trips:
-        return 0.0
-    same = sum(
-        1 for trip in trips if partition[trip.origin] == partition[trip.destination]
-    )
-    return same / len(trips)
+    return self_contained_share(_pairs(trips), partition.assignment)
 
 
 def daily_profile(

@@ -20,24 +20,25 @@ this runner; use the runner directly for sweeps, warm caches and
 parallel execution.
 """
 
-from .cache import StageCache
-from .fingerprint import config_digest, dataset_digest, fingerprint
-from .runner import (
-    EXPANSION_STAGES,
-    PipelineRunner,
-    config_grid,
-    run_sweep,
-)
-from .stage import Stage
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EXPANSION_STAGES",
-    "PipelineRunner",
-    "Stage",
-    "StageCache",
-    "config_digest",
-    "config_grid",
-    "dataset_digest",
-    "fingerprint",
-    "run_sweep",
-]
+# Eager: the function ``fingerprint`` shares its name with the submodule
+# it lives in, and a lazy export would be shadowed by that submodule
+# once anything imports ``repro.pipeline.fingerprint`` directly.
+from .fingerprint import config_digest, dataset_digest, fingerprint
+
+#: The runner (and the whole pipeline it imports) loads on first use.
+_EXPORTS = {
+    "EXPANSION_STAGES": ".runner",
+    "PipelineRunner": ".runner",
+    "Stage": ".stage",
+    "StageCache": ".cache",
+    "config_grid": ".runner",
+    "run_sweep": ".runner",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(
+    [*_EXPORTS, "config_digest", "dataset_digest", "fingerprint"]
+)

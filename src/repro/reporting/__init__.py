@@ -1,38 +1,35 @@
-"""Reporting: paper-style tables, experiment runners, comparisons."""
+"""Reporting: paper-style tables, experiment runners, comparisons.
 
-from .comparison import PAPER, Comparison, compare, comparison_rows
-from .experiments import (
-    ExperimentOutput,
-    experiment_fig5,
-    experiment_fig7,
-    experiment_table1,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-    experiment_table6,
-    sweep_summary,
-)
-from .markdown import render_markdown_report, write_markdown_report
-from .tables import format_series, format_table
+Exports load on first use: :mod:`repro.reporting.paper_tables` renders
+Tables I-VI from plain counts without importing the pipeline, and
+:mod:`repro.reporting.experiments` (which does import it) is loaded
+only by callers that hand it pipeline objects.
+"""
 
-__all__ = [
-    "Comparison",
-    "ExperimentOutput",
-    "PAPER",
-    "compare",
-    "comparison_rows",
-    "experiment_fig5",
-    "experiment_fig7",
-    "experiment_table1",
-    "experiment_table2",
-    "experiment_table3",
-    "experiment_table4",
-    "experiment_table5",
-    "experiment_table6",
-    "format_series",
-    "format_table",
-    "render_markdown_report",
-    "sweep_summary",
-    "write_markdown_report",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "Comparison": ".comparison",
+    "ExperimentOutput": ".paper_tables",
+    "PAPER": ".comparison",
+    "compare": ".comparison",
+    "comparison_rows": ".comparison",
+    "experiment_fig5": ".experiments",
+    "experiment_fig7": ".experiments",
+    "experiment_table1": ".experiments",
+    "experiment_table2": ".experiments",
+    "experiment_table3": ".experiments",
+    "experiment_table4": ".experiments",
+    "experiment_table5": ".experiments",
+    "experiment_table6": ".experiments",
+    "format_series": ".tables",
+    "format_table": ".tables",
+    "render_markdown_report": ".markdown",
+    "sweep_summary": ".experiments",
+    "tables_from_envelope": ".paper_tables",
+    "write_markdown_report": ".markdown",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

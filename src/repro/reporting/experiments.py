@@ -5,64 +5,26 @@ Each ``experiment_*`` function consumes pipeline outputs and returns an
 :mod:`repro.reporting.comparison`'s ``PAPER`` entries and (b) a
 formatted text rendition in the paper's layout.  The benches print the
 text and assert on the values.
+
+Tables I-VI only extract counts here — station kinds, trips per
+origin -> destination pair, community assignments — and hand them to
+the layouts in :mod:`repro.reporting.paper_tables`, which render a
+stored run envelope through the very same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..community import Partition
-from ..core import (
-    CommunityRow,
-    DAY_NAMES,
-    ExpansionResult,
-    community_table,
-    daily_profile,
-    hourly_profile,
-    self_containment,
-)
+from ..core import DAY_NAMES, ExpansionResult, daily_profile, hourly_profile
 from ..data import CleaningReport
-from ..serialize import check_envelope
-from ..viz import colour_name
-from .comparison import Comparison, compare
+from .paper_tables import (
+    COMMUNITY_TABLES,
+    ExperimentOutput,
+    community_table,
+    table1,
+    table2,
+    table3,
+)
 from .tables import format_series, format_table
-
-
-@dataclass
-class ExperimentOutput:
-    """One regenerated artifact: values, text, and paper comparison."""
-
-    experiment: str
-    measured: dict[str, float]
-    text: str
-    series: dict[str, list[float]] = field(default_factory=dict)
-
-    def comparisons(self) -> list[Comparison]:
-        """Paper-vs-measured pairs for the recorded values."""
-        return compare(self.experiment, self.measured)
-
-    def to_dict(self) -> dict:
-        """JSON-safe envelope: values, rendered text and any series."""
-        return {
-            "type": "ExperimentOutput",
-            "experiment": self.experiment,
-            "measured": dict(self.measured),
-            "text": self.text,
-            "series": {key: list(values) for key, values in self.series.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentOutput":
-        """Exact inverse of :meth:`to_dict`."""
-        check_envelope(payload, "ExperimentOutput")
-        return cls(
-            experiment=payload["experiment"],
-            measured=dict(payload["measured"]),
-            text=payload["text"],
-            series={
-                key: list(values) for key, values in payload["series"].items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -72,162 +34,54 @@ class ExperimentOutput:
 
 def experiment_table1(report: CleaningReport) -> ExperimentOutput:
     """Table I: dataset overview, original vs cleaned."""
-    measured = {
-        "original_stations": float(report.before.n_stations),
-        "original_rentals": float(report.before.n_rentals),
-        "original_locations": float(report.before.n_locations),
-        "cleaned_stations": float(report.after.n_stations),
-        "cleaned_rentals": float(report.after.n_rentals),
-        "cleaned_locations": float(report.after.n_locations),
-    }
-    text = format_table(
-        ["Measures", "Original Dataset", "Cleaned Dataset"],
-        [
-            ["#stations", report.before.n_stations, report.after.n_stations],
-            ["#rental", report.before.n_rentals, report.after.n_rentals],
-            ["#location", report.before.n_locations, report.after.n_locations],
-        ],
-        title="TABLE I: DATASET OVERVIEW",
-    )
-    return ExperimentOutput("table1", measured, text)
+    return table1(report.before.to_dict(), report.after.to_dict())
 
 
 def experiment_table2(result: ExpansionResult) -> ExperimentOutput:
     """Table II: the candidate graph generated by HAC."""
-    stats = result.candidates.stats()
-    measured = {
-        "nodes": float(stats.n_nodes),
-        "undirected_edges": float(stats.n_undirected_edges),
-        "undirected_edges_no_loops": float(stats.n_undirected_edges_no_loops),
-        "directed_edges": float(stats.n_directed_edges),
-        "directed_edges_no_loops": float(stats.n_directed_edges_no_loops),
-        "trips": float(stats.n_trips),
-    }
-    text = format_table(
-        ["Measures", "Numbers"],
-        stats.as_rows(),
-        title="TABLE II: THE CANDIDATE GRAPH GENERATED BY HAC",
-    )
-    return ExperimentOutput("table2", measured, text)
+    return table2(result.candidates.stats().to_dict())
 
 
 def experiment_table3(result: ExpansionResult) -> ExperimentOutput:
     """Table III: the selected graph."""
-    stats = result.network.stats()
-    measured = {
-        "pre_existing_stations": float(stats.n_fixed),
-        "selected_stations": float(stats.n_selected),
-        "total_stations": float(stats.n_fixed + stats.n_selected),
-        "trips_from_pre_existing": float(stats.trips_from_fixed),
-        "trips_to_pre_existing": float(stats.trips_to_fixed),
-        "trips_from_selected": float(stats.trips_from_selected),
-        "trips_to_selected": float(stats.trips_to_selected),
-        "edges_from_pre_existing": float(stats.edges_from_fixed),
-        "edges_to_pre_existing": float(stats.edges_to_fixed),
-        "edges_from_selected": float(stats.edges_from_selected),
-        "edges_to_selected": float(stats.edges_to_selected),
-        "total_edges": float(stats.n_directed_edges),
-    }
-    text = format_table(
-        ["Stations", "Count", "Trips From", "Trips To", "Edges From", "Edges To"],
-        [
-            [
-                "Pre-existing", stats.n_fixed,
-                stats.trips_from_fixed, stats.trips_to_fixed,
-                stats.edges_from_fixed, stats.edges_to_fixed,
-            ],
-            [
-                "Selected", stats.n_selected,
-                stats.trips_from_selected, stats.trips_to_selected,
-                stats.edges_from_selected, stats.edges_to_selected,
-            ],
-            [
-                "Total", stats.n_fixed + stats.n_selected,
-                stats.n_trips, stats.n_trips,
-                stats.n_directed_edges, stats.n_directed_edges,
-            ],
-        ],
-        title="TABLE III: DETAILS OF THE SELECTED GRAPH",
-    )
-    return ExperimentOutput("table3", measured, text)
-
-
-def _community_rows_text(rows: list[CommunityRow], title: str) -> str:
-    return format_table(
-        ["ID", "Color", "Old", "New", "Total", "Within", "Out", "In", "Total trips"],
-        [
-            [
-                row.community,
-                colour_name(row.community),
-                row.n_old_stations,
-                row.n_new_stations,
-                row.n_stations,
-                row.trips_within,
-                row.trips_out,
-                row.trips_in,
-                row.trips_total,
-            ]
-            for row in rows
-        ],
-        title=title,
-    )
+    network = result.network
+    return table3(network.station_kinds(), network.od_pair_counts())
 
 
 def _community_experiment(
-    name: str,
-    title: str,
-    result: ExpansionResult,
-    partition: Partition,
-    modularity_score: float,
+    index: int, result: ExpansionResult, assignment, modularity: float
 ) -> ExperimentOutput:
-    trips = result.network.trips
-    rows = community_table(trips, partition, result.network.stations)
-    containment = self_containment(trips, partition)
-    measured = {
-        "n_communities": float(partition.n_communities),
-        "modularity": modularity_score,
-        "self_containment": containment,
-    }
-    text = "\n".join(
-        [
-            _community_rows_text(rows, title),
-            f"modularity Q = {modularity_score:.3f}; "
-            f"self-contained trips = {containment:.1%}",
-        ]
+    name, title, _, _ = COMMUNITY_TABLES[index]
+    network = result.network
+    return community_table(
+        name,
+        title,
+        network.station_kinds(),
+        network.od_pair_counts(),
+        assignment,
+        modularity,
     )
-    return ExperimentOutput(name, measured, text)
 
 
 def experiment_table4(result: ExpansionResult) -> ExperimentOutput:
     """Table IV: communities in G_Basic."""
-    return _community_experiment(
-        "table4",
-        "TABLE IV: COMMUNITIES IN G_BASIC",
-        result,
-        result.basic.partition,
-        result.basic.modularity,
-    )
+    basic = result.basic
+    return _community_experiment(0, result, basic.partition.assignment, basic.modularity)
 
 
 def experiment_table5(result: ExpansionResult) -> ExperimentOutput:
     """Table V: communities in G_Day."""
+    day = result.day
     return _community_experiment(
-        "table5",
-        "TABLE V: COMMUNITIES IN G_DAY",
-        result,
-        result.day.station_partition,
-        result.day.modularity,
+        1, result, day.station_partition.assignment, day.modularity
     )
 
 
 def experiment_table6(result: ExpansionResult) -> ExperimentOutput:
     """Table VI: communities in G_Hour."""
+    hour = result.hour
     return _community_experiment(
-        "table6",
-        "TABLE VI: COMMUNITIES IN G_HOUR",
-        result,
-        result.hour.station_partition,
-        result.hour.modularity,
+        2, result, hour.station_partition.assignment, hour.modularity
     )
 
 

@@ -34,46 +34,37 @@ under ``ExpansionService(store_dir=...)`` / ``repro serve
 --store-dir``.
 """
 
-from .bytescache import BytesLRU, CachedBytes
-from .datasets import DatasetStore
-from .http import ROUTES, ServiceHTTPServer, make_server
-from .jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING, Job, JobStore
-from .prefork import serve_prefork
-from .service import ExpansionService, canonical_envelope
-from .spec import (
-    ALL_OUTPUTS,
-    OUTPUT_REBALANCE,
-    OUTPUT_REPORT,
-    OUTPUT_RUN,
-    OUTPUT_SWEEP,
-    DatasetRef,
-    ScenarioSpec,
-)
-from .store import ResultsStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_OUTPUTS",
-    "BytesLRU",
-    "CANCELLED",
-    "CachedBytes",
-    "DONE",
-    "DatasetRef",
-    "DatasetStore",
-    "ExpansionService",
-    "FAILED",
-    "Job",
-    "JobStore",
-    "OUTPUT_REBALANCE",
-    "OUTPUT_REPORT",
-    "OUTPUT_RUN",
-    "OUTPUT_SWEEP",
-    "PENDING",
-    "ROUTES",
-    "RUNNING",
-    "ResultsStore",
-    "ScenarioSpec",
-    "ServiceHTTPServer",
-    "canonical_envelope",
-    "make_server",
-    "serve_prefork",
-]
+#: Public name -> defining module, imported on first use: a CLI replay
+#: needs the service, the stores and the spec, never the HTTP server.
+_EXPORTS = {
+    "ALL_OUTPUTS": ".spec",
+    "BytesLRU": ".bytescache",
+    "CANCELLED": ".jobs",
+    "CachedBytes": ".bytescache",
+    "DONE": ".jobs",
+    "DatasetRef": ".spec",
+    "DatasetStore": ".datasets",
+    "ExpansionService": ".service",
+    "FAILED": ".jobs",
+    "Job": ".jobs",
+    "JobStore": ".jobs",
+    "OUTPUT_REBALANCE": ".spec",
+    "OUTPUT_REPORT": ".spec",
+    "OUTPUT_RUN": ".spec",
+    "OUTPUT_SWEEP": ".spec",
+    "PENDING": ".jobs",
+    "ROUTES": ".http",
+    "RUNNING": ".jobs",
+    "ResultsStore": ".store",
+    "ScenarioSpec": ".spec",
+    "ServiceHTTPServer": ".http",
+    "canonical_envelope": ".service",
+    "make_server": ".http",
+    "serve_prefork": ".prefork",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

@@ -18,7 +18,10 @@ Request flow::
 
 A CSV ref resolves to its digest through a persisted memo keyed by the
 files' content hash, so a stored scenario is served without parsing a
-row; the rows are built only once a job misses the results store.
+row; the rows are built only once a job misses the results store.  The
+pipeline runner, the dataset generator and the report renderers are
+imported on that miss path too, so a process that only answers stored
+scenarios never loads them.
 
 Two clients racing on the same scenario therefore share one pipeline
 execution, and a scenario computed by any surface is warm for all of
@@ -65,7 +68,6 @@ _CSV_FILES = ("locations.csv", "rentals.csv")
 #: What a memo entry must hold to count as a hit (a SHA-256 digest).
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
-from ..analysis.rebalancing import plan_weekend_rebalancing
 from ..data import MobyDataset
 from ..data.csvio import read_locations, read_rentals
 from ..exceptions import (
@@ -86,12 +88,8 @@ from ..pipeline.cache import StageCache, stage_namespace
 from ..resilience import CircuitBreaker, Watchdog
 from ..pipeline.fingerprint import dataset_digest
 from ..pipeline.fingerprint import fingerprint as content_fingerprint
-from ..pipeline.runner import PipelineRunner, run_sweep
-from ..reporting import sweep_summary
-from ..reporting.markdown import render_markdown_report
 from ..serialize import ENVELOPE_VERSION, canonical_json
 from ..store import ObjectLRU, Store
-from ..synth import SyntheticMobyGenerator
 from .datasets import (
     DEFAULT_MAX_DATASET_BYTES,
     DatasetStore,
@@ -311,6 +309,10 @@ class ExpansionService:
                 namespace=results_namespace(store.backend("results")),
                 breaker=self.breaker,
             )
+        # Schema verdicts of published envelopes, memoised by content
+        # next to the CSV source memo: a later process reading the same
+        # bytes back skips the parse.
+        self.results.verdicts = self.cache
         if datasets is not None:
             self.datasets = datasets
         elif datasets_dir is not None or store is None:
@@ -477,6 +479,8 @@ class ExpansionService:
                 # before loading the current ones.
                 self._forget_named(ref.name, keep=named_digest)
             if ref.kind == "synthetic":
+                from ..synth import SyntheticMobyGenerator
+
                 with timer.section("generate"):
                     raw = SyntheticMobyGenerator(seed=ref.seed).generate()
                 with timer.section("digest"):
@@ -1107,6 +1111,8 @@ class ExpansionService:
         outputs: dict[str, Any] = {}
         result = None
         if {OUTPUT_RUN, OUTPUT_REBALANCE, OUTPUT_REPORT} & set(spec.outputs):
+            from ..pipeline.runner import PipelineRunner
+
             # Named datasets carry append lineage; the runner validates
             # it against the digest it was handed (a raced overwrite or
             # append just reads as "no lineage" → a cold run).
@@ -1144,6 +1150,8 @@ class ExpansionService:
                 spec, raw, digest, cancel=cancel, resolved=sweep_resolved
             )
         if OUTPUT_REBALANCE in spec.outputs:
+            from ..analysis.rebalancing import plan_weekend_rebalancing
+
             plan = plan_weekend_rebalancing(
                 result.network,
                 result.day.station_partition,
@@ -1154,6 +1162,8 @@ class ExpansionService:
                 "plan": plan.to_dict(),
             }
         if OUTPUT_REPORT in spec.outputs:
+            from ..reporting.markdown import render_markdown_report
+
             outputs[OUTPUT_REPORT] = {
                 "title": spec.report_title,
                 "markdown": render_markdown_report(
@@ -1200,6 +1210,9 @@ class ExpansionService:
         carry a ``dataset`` field, and the block gains a ``datasets``
         list pairing each name with the content digest it resolved to.
         """
+        from ..pipeline.runner import run_sweep
+        from ..reporting.experiments import sweep_summary
+
         grid = spec.sweep_grid()
         axes = resolved if resolved is not None else [(None, raw, digest)]
         scenarios = []

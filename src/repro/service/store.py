@@ -23,18 +23,27 @@ recompute) still invalidates every cached view first.
 The full body's cache entry also carries the schema verdict the service
 needs before it answers a submission from the store
 (:attr:`CachedBytes.current`).  It is judged once per bytes object:
-from the dict in hand at :meth:`ResultsStore.put`, or by one parse when
-the bytes are read from the backend — never on a byte-cache hit — and
-it is dropped with the bytes it describes.
+from the dict in hand at :meth:`ResultsStore.put`, or when the bytes are
+read from the backend — never on a byte-cache hit — and it is dropped
+with the bytes it describes.  A backend read looks the verdict up in a
+content-addressed memo first (:attr:`ResultsStore.verdicts`, the stage
+cache of the owning service): ``put`` records the verdict of every
+payload it publishes under the SHA-256 of its bytes, so a new process
+that reads those bytes back hashes them (milliseconds) instead of
+parsing them (tens of milliseconds per MB).  Other bytes — damaged,
+written elsewhere, or whose entry was evicted — miss the memo and are
+parsed once, as before.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
 from typing import Any, Callable, Hashable
 
+from ..pipeline.fingerprint import fingerprint as content_fingerprint
 from ..serialize import ENVELOPE_VERSION, canonical_json
 from ..store import HEX_KEY, DirBackend, MemoryBackend, Namespace
 from .bytescache import BytesLRU, CachedBytes
@@ -123,6 +132,17 @@ def _parses_current(data: bytes) -> bool:
         return False
 
 
+def verdict_key(data: bytes) -> str:
+    """The verdict-memo key of stored envelope ``data``.
+
+    The verdict is a function of the bytes and of the envelope schema
+    they are judged against, and the key covers both.
+    """
+    return content_fingerprint(
+        "envelope-verdict", ENVELOPE_VERSION, hashlib.sha256(data).hexdigest()
+    )
+
+
 def results_namespace(backend) -> Namespace:
     """The canonical results namespace policy over ``backend``.
 
@@ -160,6 +180,11 @@ class ResultsStore:
         #: Optional :class:`~repro.resilience.breaker.CircuitBreaker`
         #: observing publish outcomes — the service's degradation signal.
         self.breaker = breaker
+        #: The schema-verdict memo: a
+        #: :class:`~repro.pipeline.cache.StageCache` keyed by
+        #: :func:`verdict_key`, set by the owning service to its stage
+        #: cache.  ``None`` judges every backend read by a parse.
+        self.verdicts = None
 
     @property
     def results_dir(self) -> Path | None:
@@ -201,7 +226,7 @@ class ResultsStore:
 
         Warm fingerprints come straight from the byte cache — no
         backend read, no decode, no parse; only the first read of a
-        fingerprint touches backend bytes, and parses them once for the
+        fingerprint touches backend bytes, and judges them once for the
         entry's schema verdict (:attr:`CachedBytes.current`).
         """
         entry = self.bytes_cache.get(fingerprint, FULL_VIEW)
@@ -211,7 +236,22 @@ class ResultsStore:
         data = self.namespace.get(fingerprint)
         if data is None:
             return None
-        return self._seed(fingerprint, data, _parses_current(data))
+        return self._seed(fingerprint, data, self._judge(data))
+
+    def _judge(self, data: bytes) -> bool:
+        """The schema verdict of backend bytes: the memo's, else a parse.
+
+        A parsed verdict is memoised too, so bytes stored before the
+        memo existed are parsed by their first reader only.
+        """
+        if self.verdicts is None:
+            return _parses_current(data)
+        key = verdict_key(data)
+        current = self.verdicts.get(key)
+        if not isinstance(current, bool):
+            current = _parses_current(data)
+            self.verdicts.put(key, current)
+        return current
 
     def view_entry(
         self,
@@ -289,7 +329,10 @@ class ResultsStore:
         # (schema-upgrade recompute); the fresh full body and headline
         # are seeded so the first GETs after a run are already warm.
         self.bytes_cache.invalidate(fingerprint)
-        entry = self._seed(fingerprint, data, _is_current(envelope))
+        current = _is_current(envelope)
+        if self.verdicts is not None:
+            self.verdicts.put(verdict_key(data), current)
+        entry = self._seed(fingerprint, data, current)
         self.bytes_cache.put(
             fingerprint,
             HEADLINE_VIEW,

@@ -32,7 +32,6 @@ import json
 from pathlib import Path
 
 from ..exceptions import StoreError
-from ..resilience.faults import FaultConfig, FaultInjectingBackend
 from .backend import BACKEND_KINDS, Backend, make_backend
 
 #: Marker file recording a store tree's backend kind, so reopening the
@@ -106,6 +105,10 @@ class Store:
         switch chaos tests flip to fault a real ``repro serve``
         subprocess without touching its code.
         """
+        # The fault layer wraps this package's backends; importing it
+        # here keeps the two packages loadable in either order.
+        from ..resilience.faults import FaultConfig, FaultInjectingBackend
+
         backend = make_backend(
             self.backend_kind,
             None if self.root is None else self.root / name,

@@ -1,25 +1,24 @@
-"""Visualisation: dependency-free SVG maps and charts."""
+"""Visualisation: dependency-free SVG maps and charts.
 
-from .charts import render_profile_chart
-from .dendrogram import render_dendrogram
-from .map_render import (
-    MapProjection,
-    render_candidate_map,
-    render_community_map,
-    render_selected_map,
-)
-from .palette import COMMUNITY_COLOURS, colour_hex, colour_name
-from .svg import SvgCanvas
+Exports load on first use, so the community palette the text tables
+name their colours from comes without the map renderers.
+"""
 
-__all__ = [
-    "COMMUNITY_COLOURS",
-    "MapProjection",
-    "SvgCanvas",
-    "colour_hex",
-    "colour_name",
-    "render_candidate_map",
-    "render_community_map",
-    "render_dendrogram",
-    "render_profile_chart",
-    "render_selected_map",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "COMMUNITY_COLOURS": ".palette",
+    "MapProjection": ".map_render",
+    "SvgCanvas": ".svg",
+    "colour_hex": ".palette",
+    "colour_name": ".palette",
+    "render_candidate_map": ".map_render",
+    "render_community_map": ".map_render",
+    "render_dendrogram": ".dendrogram",
+    "render_profile_chart": ".charts",
+    "render_selected_map": ".map_render",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

@@ -11,6 +11,7 @@ from repro.service import (
     ExpansionService,
     ScenarioSpec,
 )
+from repro.service.store import verdict_key
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +206,9 @@ class TestStoredBytes:
         computed.wait_bytes(300)
         cache = service.results.bytes_cache
         assert computed.payload is cache.get(computed.fingerprint, "full").payload
-        # Drop the cached body: the first replay reads the backend, the
-        # other nineteen are byte-cache hits.
+        # Drop the cached body: the first replay reads the backend and
+        # finds its verdict in the memo `put` wrote, the other nineteen
+        # are byte-cache hits — none parses.
         cache.invalidate(computed.fingerprint)
         del envelope_parses[:]
         executions = service.pipeline_executions
@@ -216,12 +218,30 @@ class TestStoredBytes:
             job.wait_bytes(300)
             replays.append(job)
         assert service.pipeline_executions == executions
-        assert len(envelope_parses) == 1
+        assert len(envelope_parses) == 0
         cached = cache.get(computed.fingerprint, "full").payload
         assert cached == computed.payload
         assert all(job.payload is cached for job in replays)
         assert all(holds_no_envelope(job) for job in [computed, *replays])
         assert "results" in {s["name"] for s in replays[-1].timings["sections"]}
+
+    def test_replay_without_verdict_memo_parses_once(
+        self, service, envelope_parses
+    ):
+        spec = small_spec(overrides={"community.seed": 4343})
+        computed = service.submit(spec)
+        payload = computed.wait_bytes(300)
+        # Evict the memo entry and the cached body: the next backend
+        # read judges the bytes by one parse and memoises the verdict.
+        key = verdict_key(payload)
+        service.cache.clear_memory()
+        assert service.cache.namespace.delete(key)
+        service.results.bytes_cache.invalidate(computed.fingerprint)
+        del envelope_parses[:]
+        for _ in range(5):
+            assert service.submit(spec).wait_bytes(300) == payload
+        assert envelope_parses == [len(payload)]
+        assert service.cache.get(key) is True
 
 
 class TestFailures:

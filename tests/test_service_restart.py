@@ -20,7 +20,9 @@ from repro.service import (
     JobStore,
     ScenarioSpec,
 )
+from repro.pipeline.cache import stage_namespace
 from repro.service.jobs import jobs_namespace
+from repro.service.store import verdict_key
 from repro.store import Store
 
 
@@ -81,12 +83,34 @@ def test_everything_survives_a_restart(small_raw, tmp_path, backend):
 def test_restarted_service_checks_stored_bytes_once(
     small_raw, tmp_path, backend, envelope_parses
 ):
-    """The schema check parses a stored envelope once per backend read."""
+    """The schema check of a published envelope is the memo's: a new
+    process reading the stored bytes back parses none of them."""
     store_dir = tmp_path / "store"
     spec = ScenarioSpec(dataset=DatasetRef.named("small"))
     with make_service(store_dir, backend) as first:
         first.register_dataset("small", small_raw)
         stored = first.submit(spec).wait_bytes(timeout=300)
+    del envelope_parses[:]
+    with make_service(store_dir, backend) as second:
+        for _ in range(5):
+            assert second.submit(spec).wait_bytes(timeout=300) == stored
+        assert second.pipeline_executions == 0
+    assert envelope_parses == []
+
+
+@pytest.mark.parametrize("backend", ["dir", "sharded"])
+def test_restarted_service_without_verdict_memo_parses_once(
+    small_raw, tmp_path, backend, envelope_parses
+):
+    """Without its memo entry the stored bytes are parsed once per
+    backend read, as before the memo existed."""
+    store_dir = tmp_path / "store"
+    spec = ScenarioSpec(dataset=DatasetRef.named("small"))
+    with make_service(store_dir, backend) as first:
+        first.register_dataset("small", small_raw)
+        stored = first.submit(spec).wait_bytes(timeout=300)
+    stage = stage_namespace(Store(store_dir, backend).backend("stage"))
+    assert stage.delete(verdict_key(stored))
     del envelope_parses[:]
     with make_service(store_dir, backend) as second:
         for _ in range(5):
