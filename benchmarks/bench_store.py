@@ -7,8 +7,8 @@ stay visible as backends evolve.  The sharded layout should cost
 within noise of the flat one — its win is directory fan-out at 100k+
 entries, not per-operation speed.
 
-The contended scenario replays the parallel pipeline's access shape —
-several threads hammering warm ``get`` on one *bounded* namespace (the
+The contended scenario replays a serving process's access shape —
+concurrent jobs hammering warm ``get`` on one *bounded* namespace (the
 path that historically serialised on a global lock and a per-hit
 recency write) — so a de-contention regression shows up as this
 benchmark collapsing toward the single-thread number times the thread
@@ -71,8 +71,8 @@ def test_store_warm_put(benchmark, kind, tmp_path):
     assert namespace.entries() == N_ENTRIES
 
 
-#: Contended-scenario shape: a small thread pool (the pipeline's
-#: ``--jobs 4`` plus headroom) and enough operations per thread that
+#: Contended-scenario shape: a small thread pool (a few ``repro serve
+#: --job-workers`` plus headroom) and enough operations per thread that
 #: lock-acquisition costs dominate thread start/join overhead.
 CONTENDED_THREADS = 8
 CONTENDED_OPS_PER_THREAD = 200

@@ -21,7 +21,7 @@ def main() -> None:
     optimiser = NetworkExpansionOptimiser(raw)
     axes = {"temporal.coupling": [0.05, 0.12, 0.30]}
     print(f"Sweeping {axes} — shared stages are computed once...")
-    results = optimiser.run_sweep(axes, jobs=3)
+    results = optimiser.run_sweep(axes)
 
     labels = [f"coupling={value}" for value in axes["temporal.coupling"]]
     print()

@@ -12,13 +12,13 @@ True
 The methodology is executed as a staged DAG by
 :class:`~repro.pipeline.PipelineRunner` (``clean`` -> ``candidates``
 -> ``selection`` -> ``network`` -> ``basic``/``day``/``hour``), with
-content-addressed caching of every stage value and parallel fan-out of
-the temporal community slices.  ``NetworkExpansionOptimiser`` is a
-thin facade over it; both produce identical results, pinned by the
-golden regression suite in ``tests/test_golden_paper.py``:
+content-addressed caching of every stage value.
+``NetworkExpansionOptimiser`` is a thin facade over it; both produce
+identical results, pinned by the golden regression suite in
+``tests/test_golden_paper.py``:
 
 >>> from repro import PipelineRunner
->>> runner = PipelineRunner(generate_paper_dataset())  # cache_dir=..., jobs=...
+>>> runner = PipelineRunner(generate_paper_dataset())  # cache_dir=...
 >>> runner.run().selection.n_selected > 0
 True
 

@@ -5,8 +5,8 @@ The subcommands cover the library's end-to-end workflow:
 * ``generate`` — write the calibrated synthetic dataset to CSV;
 * ``clean`` — run the six-rule cleaning pipeline over a CSV dataset;
 * ``run`` — the full expansion pipeline: prints every paper table and
-  (optionally) renders the figures; ``--cache-dir`` warms a stage
-  cache, ``--jobs`` fans the temporal slices out over workers;
+  (optionally) renders the figures; ``--store-dir`` keeps the stages
+  and the result warm for the next run;
 * ``sweep`` — run a parameter grid (``--set section.field=v1,v2``)
   and/or a dataset axis (``--datasets a,b,c`` over named datasets)
   through the staged runner with one shared cache;
@@ -24,8 +24,7 @@ identical to the ``POST /v1/runs`` response for the same scenario.
 ``--store-dir`` points every service-backed subcommand at the same
 storage tree a ``repro serve --store-dir`` persists (stage cache,
 results, datasets, job journal — see :mod:`repro.store`), so CLI runs
-and the server share warm state; ``--cache-dir`` remains a deprecated
-stage-cache-only alias.
+and the server share warm state.
 
 Three subcommands are clients of a *running* ``repro serve`` instead
 (they take ``--url``):
@@ -72,23 +71,12 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         help="on-disk layout under --store-dir: 'dir' (flat, "
                              "the default) or 'sharded' (digest-prefix "
                              "fan-out for very large stores)")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="deprecated alias: stage cache directory "
-                             "(use --store-dir, which also persists results "
-                             "and datasets)")
     parser.add_argument("--cache-bytes", type=int, default=None,
                         help="evict least-recently-used cache pickles once "
-                             "the cache directory exceeds this many bytes")
+                             "the stage cache exceeds this many bytes")
     parser.add_argument("--cache-entries", type=int, default=None,
                         help="evict least-recently-used cache pickles once "
-                             "the cache directory exceeds this many entries")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget for parallel stage/slice fan-out")
-    parser.add_argument("--executor", choices=("thread", "process"),
-                        default="thread",
-                        help="worker pool backend; 'process' fans stages out "
-                             "over worker processes, sharing values through "
-                             "the on-disk stage cache")
+                             "the stage cache exceeds this many entries")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="text renders the paper tables; json prints the "
                              "canonical result envelope")
@@ -181,16 +169,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="on-disk layout under --store-dir ('sharded' "
                             "fans entries out by digest prefix)")
-    serve.add_argument("--cache-dir", type=Path, default=None,
-                       help="deprecated alias: stage cache directory only "
-                            "(use --store-dir)")
     serve.add_argument("--cache-bytes", type=int, default=None,
                        help="LRU-evict cache pickles beyond this many bytes")
     serve.add_argument("--cache-entries", type=int, default=None,
                        help="LRU-evict cache pickles beyond this many entries")
-    serve.add_argument("--results-dir", type=Path, default=None,
-                       help="deprecated alias: results directory only "
-                            "(use --store-dir)")
     serve.add_argument("--workers", type=int, default=1,
                        help="pre-fork this many serving processes sharing "
                             "one port (SO_REUSEPORT when available); more "
@@ -198,19 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "journal that makes the fleet one service")
     serve.add_argument("--job-workers", type=int, default=2,
                        help="concurrently executing jobs per process")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker budget inside each pipeline run")
-    serve.add_argument("--executor", choices=("thread", "process"),
-                       default="thread",
-                       help="stage fan-out backend inside each run; "
-                            "'process' keeps slow jobs off the GIL")
     serve.add_argument("--retain-jobs", type=int, default=1024,
                        help="keep at most this many finished jobs in the "
                             "job table (oldest pruned first)")
-    serve.add_argument("--datasets-dir", type=Path, default=None,
-                       help="deprecated alias: datasets directory only "
-                            "(use --store-dir); memory-only when neither "
-                            "is given")
     serve.add_argument("--max-dataset-bytes", type=int, default=None,
                        help="reject a single dataset upload over this many "
                             "serialised bytes (default: 64MiB)")
@@ -313,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       "BENCH_pipeline.json"
     )
     bench.add_argument("--quick", action="store_true",
-                       help="paper scale only, no baseline-kernel rerun")
+                       help="first scale only, one timing repetition per "
+                            "kernel")
     bench.add_argument("--out", type=Path, default=None,
                        help="trajectory file (default: BENCH_pipeline.json "
                             "at the repo root / current directory)")
@@ -323,12 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--label", default=None,
                        help="label stored on the trajectory entry")
     bench.add_argument("--check", action="store_true",
-                       help="fail (exit 1) when the parallel-scaling gate "
-                            "rejects the fresh entry: jobs-4 must not be "
-                            "slower than the warm serial reference")
-    bench.add_argument("--max-ratio", type=float, default=None,
-                       help="gate limit for jobs-4 wall / serial wall "
-                            "(default: 1.1, parity plus noise margin)")
+                       help="fail (exit 1) when the incremental gate "
+                            "rejects the fresh entry; needs --incremental")
     bench.add_argument("--incremental", action="store_true",
                        help="run the incremental-recompute rung instead: "
                             "cold paper run, ~5%% append, delta-aware "
@@ -420,43 +389,24 @@ def _make_service(args: argparse.Namespace) -> ExpansionService:
     With ``--store-dir`` everything (stage pickles, result envelopes,
     named datasets, the job journal) persists under one tree — the same
     tree a ``repro serve --store-dir`` uses, so CLI runs and the server
-    share warm stages, stored results and uploaded datasets.  The
-    deprecated ``--cache-dir`` alias keeps its historical behaviour:
-    stage pickles there, result envelopes under ``<cache-dir>/results``.
+    share warm stages, stored results and uploaded datasets.  Without
+    it the service lives in memory for this one command.
     """
     from .service.service import ExpansionService
 
     store_dir = getattr(args, "store_dir", None)
-    cache_dir = getattr(args, "cache_dir", None)
     if store_dir is None and getattr(args, "store_backend", None):
         # Same verdict `repro serve` reaches (StoreError from Store):
         # a backend choice without a tree is a mistake, never a no-op.
         raise ConfigError("--store-backend requires --store-dir")
-    if store_dir is not None:
-        # Same per-component precedence as `repro serve`: an explicit
-        # --cache-dir overrides the store's stage namespace, so both
-        # surfaces always read/write the same stage-cache tree.
-        return ExpansionService(
-            store_dir=store_dir,
-            store_backend=getattr(args, "store_backend", None),
-            cache_dir=cache_dir,
-            cache_bytes=getattr(args, "cache_bytes", None),
-            cache_entries=getattr(args, "cache_entries", None),
-            pipeline_jobs=getattr(args, "jobs", 1),
-            pipeline_executor=getattr(args, "executor", "thread"),
-            sweep_executor=getattr(args, "executor", "thread"),
-            # One-shot commands must not hijack a serve's journalled
-            # backlog; pending jobs stay queued for a resuming server.
-            resume_jobs=False,
-        )
     return ExpansionService(
-        cache_dir=cache_dir,
+        store_dir=store_dir,
+        store_backend=getattr(args, "store_backend", None),
         cache_bytes=getattr(args, "cache_bytes", None),
         cache_entries=getattr(args, "cache_entries", None),
-        results_dir=None if cache_dir is None else cache_dir / "results",
-        pipeline_jobs=getattr(args, "jobs", 1),
-        pipeline_executor=getattr(args, "executor", "thread"),
-        sweep_executor=getattr(args, "executor", "thread"),
+        # One-shot commands must not hijack a serve's journalled
+        # backlog; pending jobs stay queued for a resuming server.
+        resume_jobs=False,
     )
 
 
@@ -705,15 +655,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return ExpansionService(
             store_dir=args.store_dir,
             store_backend=args.store_backend,
-            cache_dir=args.cache_dir,
             cache_bytes=args.cache_bytes,
             cache_entries=args.cache_entries,
-            results_dir=args.results_dir,
             max_workers=args.job_workers,
-            pipeline_jobs=args.jobs,
-            pipeline_executor=args.executor,
             retain_jobs=args.retain_jobs,
-            datasets_dir=args.datasets_dir,
             max_dataset_bytes=(
                 args.max_dataset_bytes
                 if args.max_dataset_bytes is not None
@@ -895,8 +840,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import DEFAULT_PARALLEL_MAX_RATIO, check_parallel_gate, run_bench
+    from .perf.bench import run_bench
 
+    if args.check and not args.incremental:
+        print(
+            "error: --check gates the incremental rung; add --incremental",
+            file=sys.stderr,
+        )
+        return 2
     if args.incremental:
         from .perf.bench import (
             INCREMENTAL_MIN_SPEEDUP,
@@ -936,24 +887,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         echo=print,
     )
     headline = entry["end_to_end"][0]
-    notes = []
-    if "speedup_vs_origin" in entry:
-        notes.append(f"{entry['speedup_vs_origin']:.2f}x vs trajectory origin")
-    if "speedup_vs_reference_kernels" in headline:
-        notes.append(
-            f"{headline['speedup_vs_reference_kernels']:.2f}x vs "
-            "pre-optimisation kernels in this tree"
-        )
-    suffix = f" ({'; '.join(notes)})" if notes else ""
+    suffix = (
+        f" ({entry['speedup_vs_origin']:.2f}x vs trajectory origin)"
+        if "speedup_vs_origin" in entry
+        else ""
+    )
     print(f"cold paper run: {headline['wall_s']:.2f}s{suffix}")
-    if args.check or args.max_ratio is not None:
-        max_ratio = (
-            args.max_ratio if args.max_ratio is not None else DEFAULT_PARALLEL_MAX_RATIO
-        )
-        ok, message = check_parallel_gate(entry, max_ratio)
-        print(message)
-        if not ok:
-            return 1
     return 0
 
 

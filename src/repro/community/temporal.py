@@ -22,7 +22,7 @@ network of Mucha et al. (2010):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from ..config import TemporalCommunityConfig
 from ..exceptions import CommunityError
@@ -34,9 +34,6 @@ from .partition import Partition
 StationKey = Hashable
 #: A sliced node: (station, slice index).
 SliceNode = tuple[StationKey, int]
-#: A map-like callable for the per-slice aggregation fan-out (the
-#: builtin ``map``, an executor's ``.map``, or ``PipelineRunner.map``).
-SliceMapper = Callable[[Callable, Iterable], Iterable]
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,6 @@ def build_sliced_graph(
     trips: Iterable[tuple[StationKey, StationKey, int]],
     n_slices: int,
     coupling: float,
-    mapper: SliceMapper | None = None,
 ) -> WeightedGraph:
     """Build the multislice graph from ``(origin, destination, slice)``.
 
@@ -135,14 +131,13 @@ def build_sliced_graph(
     :func:`build_sliced_graph_from_buckets`.
     """
     return build_sliced_graph_from_buckets(
-        slice_trip_buckets(trips, n_slices), coupling, mapper=mapper
+        slice_trip_buckets(trips, n_slices), coupling
     )
 
 
 def build_sliced_graph_from_buckets(
     buckets: Sequence[Sequence[tuple[StationKey, StationKey]]],
     coupling: float,
-    mapper: SliceMapper | None = None,
 ) -> WeightedGraph:
     """Build the multislice graph from per-slice OD buckets.
 
@@ -151,16 +146,15 @@ def build_sliced_graph_from_buckets(
     per-active-slice strength, so the knob is scale-free in trip volume.
 
     Construction is canonical — each bucket is aggregated independently
-    (``mapper`` fans the buckets out over workers) and the aggregates
-    merged in slice order — so the resulting graph is identical whether
-    the aggregation ran serially or in parallel.  (This ordering
-    replaced the original trip-interleaved insertion; node sets and
-    edge weights are unchanged but Louvain's seeded visit order — and
-    hence the exact G_Day/G_Hour partitions — shifted within the
-    calibrated ranges.  The current numbers are pinned by
+    and the aggregates merged in slice order — so a slice aggregate
+    served from the stage cache builds the same graph as a fresh one.
+    (This ordering replaced the original trip-interleaved insertion;
+    node sets and edge weights are unchanged but Louvain's seeded visit
+    order — and hence the exact G_Day/G_Hour partitions — shifted
+    within the calibrated ranges.  The current numbers are pinned by
     ``tests/test_golden_paper.py``.)
     """
-    aggregates = list((mapper or map)(aggregate_slice, buckets))
+    aggregates = [aggregate_slice(bucket) for bucket in buckets]
     return build_sliced_graph_from_aggregates(aggregates, coupling)
 
 
@@ -279,22 +273,16 @@ def detect_temporal_communities(
     trips: Sequence[tuple[StationKey, StationKey, int]],
     n_slices: int,
     config: TemporalCommunityConfig | None = None,
-    mapper: SliceMapper | None = None,
 ) -> TemporalCommunityResult:
-    """Full multislice pipeline: build, Louvain, collapse.
-
-    ``mapper`` (optional) fans the per-slice aggregation out over
-    workers; the result is identical to the serial path.
-    """
+    """Full multislice pipeline: build, Louvain, collapse."""
     return detect_temporal_communities_from_buckets(
-        slice_trip_buckets(trips, n_slices), config, mapper=mapper
+        slice_trip_buckets(trips, n_slices), config
     )
 
 
 def detect_temporal_communities_from_buckets(
     buckets: Sequence[Sequence[tuple[StationKey, StationKey]]],
     config: TemporalCommunityConfig | None = None,
-    mapper: SliceMapper | None = None,
 ) -> TemporalCommunityResult:
     """Full multislice pipeline over prebuilt per-slice OD buckets.
 
@@ -304,7 +292,7 @@ def detect_temporal_communities_from_buckets(
     intermediate per-stage trip-triple lists.
     """
     cfg = config or TemporalCommunityConfig()
-    aggregates = list((mapper or map)(aggregate_slice, buckets))
+    aggregates = [aggregate_slice(bucket) for bucket in buckets]
     return detect_temporal_communities_from_aggregates(aggregates, cfg)
 
 

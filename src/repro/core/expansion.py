@@ -6,10 +6,9 @@ Section IV — graph construction, station ranking and selection, and
 community detection at three temporal granularities — over a raw
 dataset.  Each stage can still be invoked on its own for the benches,
 and the runner underneath adds content-addressed caching (pass
-``cache_dir``) and parallel fan-out (pass ``jobs``); for a given
-pipeline version, cached, parallel, facade and direct-runner execution
-all produce identical results, pinned by the golden suite in
-``tests/test_golden_paper.py``.
+``cache_dir``); for a given pipeline version, cached, facade and
+direct-runner execution all produce identical results, pinned by the
+golden suite in ``tests/test_golden_paper.py``.
 
 >>> from repro.synth import generate_paper_dataset
 >>> from repro.core import NetworkExpansionOptimiser
@@ -62,18 +61,11 @@ class NetworkExpansionOptimiser:
         *,
         cache: StageCache | None = None,
         cache_dir: str | Path | None = None,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> None:
         self.raw = raw
         self.config = config
         self.runner = PipelineRunner(
-            raw,
-            config,
-            cache=cache,
-            cache_dir=cache_dir,
-            jobs=jobs,
-            executor=executor,
+            raw, config, cache=cache, cache_dir=cache_dir
         )
 
     # ------------------------------------------------------------------
@@ -120,9 +112,6 @@ class NetworkExpansionOptimiser:
     def run_sweep(
         self,
         configs: Sequence[PipelineConfig] | Mapping[str, Sequence[Any]],
-        *,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> list[ExpansionResult]:
         """Run a parameter grid over this dataset, sharing the cache.
 
@@ -134,10 +123,4 @@ class NetworkExpansionOptimiser:
         """
         if isinstance(configs, Mapping):
             configs = [config for _, config in config_grid(self.config, configs)]
-        return run_sweep(
-            self.raw,
-            configs,
-            cache=self.runner.cache,
-            jobs=jobs,
-            executor=executor,
-        )
+        return run_sweep(self.raw, configs, cache=self.runner.cache)

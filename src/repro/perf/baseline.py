@@ -8,9 +8,9 @@ the :mod:`repro.perf` optimisation pass:
 * :func:`baseline_within` / :func:`baseline_nearest` — grid queries
   that run exact haversine on every candidate and rescan all occupied
   cells per ``nearest`` call;
-* :data:`BASELINE_STAGES` — the expansion DAG with the per-location
-  ``nearest`` loop in network assembly and per-stage trip-triple
-  materialisation for G_Day/G_Hour.
+* :func:`baseline_proximity_components` /
+  :func:`baseline_preassign_to_stations` — the HAC preconditions built
+  on those queries.
 
 They exist for two reasons.  The benchmark harness
 (:mod:`repro.perf.bench`) measures every optimised kernel *against*
@@ -19,30 +19,20 @@ its reference on the same workload, so the speedups recorded in
 exactness tests assert the optimised kernels return bit-identical
 results to these references — the optimisations are rewrites, not
 approximations.
-
-The :func:`baseline_kernels` context manager patches the references
-into the live modules, letting the full pipeline run end-to-end on
-pre-optimisation kernels for the baseline trajectory entry.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
-from typing import Iterator
 
 from ..community.louvain import LouvainResult
 from ..community.partition import Partition
-from ..community.temporal import detect_temporal_communities
 from ..config import CommunityConfig
-from ..core.graphs import SelectedNetwork, Station, TripOD, KIND_FIXED, KIND_SELECTED
-from ..core.selection import select_stations
 from ..exceptions import CommunityError, EmptyRegionError
 from ..geo.distance import haversine_m
 from ..geo.index import GridIndex
 from ..graphdb import NodeKey, WeightedGraph
-from ..pipeline.stage import Stage
 
 #: Louvain's strict-improvement threshold (identical to the live kernel).
 _GAIN_EPS = 1e-12
@@ -329,310 +319,3 @@ def baseline_preassign_to_stations(
         else:
             leftover.append(location_id)
     return station_members, leftover
-
-
-def baseline_pairwise_haversine_matrix(points) -> "np.ndarray":
-    """The pre-rewrite textbook broadcast formula (fresh temporaries)."""
-    import numpy as np
-
-    from ..config import EARTH_RADIUS_M
-
-    lats = np.radians(np.array([point.lat for point in points], dtype=np.float64))
-    lons = np.radians(np.array([point.lon for point in points], dtype=np.float64))
-    dlat = lats[:, None] - lats[None, :]
-    dlon = lons[:, None] - lons[None, :]
-    sin_dlat = np.sin(dlat / 2.0)
-    sin_dlon = np.sin(dlon / 2.0)
-    h = sin_dlat**2 + np.cos(lats)[:, None] * np.cos(lats)[None, :] * sin_dlon**2
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
-
-
-# ---------------------------------------------------------------------------
-# Cleaning + candidate build (pre trusted-copy / raw-row scans)
-# ---------------------------------------------------------------------------
-
-
-def baseline_clean_dataset(raw):
-    """The pre-rewrite cleaning: validated record-by-record copy and
-    record-materialising rule scans."""
-    from ..data.cleaning import (
-        ALL_RULES,
-        CleaningReport,
-        RuleOutcome,
-        _drop_locations,
-        _location_admissible,
-    )
-    from ..data.dataset import MobyDataset
-    from ..geo import in_dublin, on_land
-
-    dataset = MobyDataset.from_records(raw.locations(), raw.rentals())
-    report = CleaningReport(before=raw.summary(), after=raw.summary())
-
-    for rule, oracle in ((ALL_RULES[0], in_dublin), (ALL_RULES[1], on_land)):
-        outcome = RuleOutcome(rule)
-        doomed = {
-            record.location_id
-            for record in dataset.locations()
-            if not _location_admissible(record, oracle)
-        }
-        _drop_locations(dataset, doomed, outcome)
-        report.outcomes.append(outcome)
-
-    outcome = RuleOutcome(ALL_RULES[2])
-    doomed = {
-        record.location_id
-        for record in dataset.locations()
-        if not record.has_coordinates
-    }
-    _drop_locations(dataset, doomed, outcome)
-    report.outcomes.append(outcome)
-
-    outcome = RuleOutcome(ALL_RULES[3])
-    doomed_rentals = [
-        rental.rental_id
-        for rental in dataset.rentals()
-        if not rental.has_location_ids
-    ]
-    for rental_id in doomed_rentals:
-        dataset.remove_rental(rental_id)
-    outcome.rentals_removed = len(doomed_rentals)
-    report.outcomes.append(outcome)
-
-    outcome = RuleOutcome(ALL_RULES[4])
-    doomed_rentals = [
-        rental.rental_id
-        for rental in dataset.rentals()
-        if not (
-            dataset.has_location(rental.rental_location_id)
-            and dataset.has_location(rental.return_location_id)
-        )
-    ]
-    for rental_id in doomed_rentals:
-        dataset.remove_rental(rental_id)
-    outcome.rentals_removed = len(doomed_rentals)
-    report.outcomes.append(outcome)
-
-    outcome = RuleOutcome(ALL_RULES[5])
-    referenced: set[int] = set()
-    for rental in dataset.rentals():
-        if rental.rental_location_id is not None:
-            referenced.add(rental.rental_location_id)
-        if rental.return_location_id is not None:
-            referenced.add(rental.return_location_id)
-    doomed_locations = [
-        record.location_id
-        for record in dataset.locations()
-        if record.location_id not in referenced
-    ]
-    for location_id in doomed_locations:
-        dataset.remove_location(location_id)
-    outcome.locations_removed = len(doomed_locations)
-    report.outcomes.append(outcome)
-
-    dataset.db.check_integrity()
-    report.after = dataset.summary()
-    return dataset, report
-
-
-def baseline_build_candidate_network(cleaned, config=None):
-    """The pre-rewrite candidate build: a RentalRecord per trip.
-
-    Delegates clustering to ``hac.cluster_locations`` — run inside
-    :func:`baseline_kernels` so the HAC internals it reaches are the
-    reference ones too.
-    """
-    from ..cluster import hac as hac_mod
-    from ..core.candidates import CandidateNetwork
-    from ..graphdb import DirectedGraph
-
-    cfg = config if config is not None else hac_mod.ClusteringConfig()
-    location_points = {
-        record.location_id: record.point() for record in cleaned.locations()
-    }
-    station_points = {
-        record.location_id: record.point() for record in cleaned.stations()
-    }
-    clustering = hac_mod.cluster_locations(location_points, station_points, cfg)
-    location_to_group = clustering.assignment()
-
-    flow = DirectedGraph()
-    for station_id in station_points:
-        flow.add_node(("station", station_id))
-    cluster_centroids = {}
-    for cluster in clustering.clusters:
-        cluster_centroids[cluster.cluster_id] = cluster.centroid
-        flow.add_node(("cluster", cluster.cluster_id))
-
-    n_trips = 0
-    for rental in cleaned.rentals():
-        origin = location_to_group[rental.rental_location_id]
-        destination = location_to_group[rental.return_location_id]
-        flow.add_edge(origin, destination, 1.0)
-        n_trips += 1
-
-    return CandidateNetwork(
-        clustering=clustering,
-        flow=flow,
-        location_to_group=location_to_group,
-        station_points=station_points,
-        cluster_centroids=cluster_centroids,
-        n_trips=n_trips,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Network assembly + temporal stage bodies (pre one-pass slicing)
-# ---------------------------------------------------------------------------
-
-
-def baseline_build_selected_network(cleaned, candidates, selection) -> SelectedNetwork:
-    """Pre-rewrite assembly: one ``nearest`` query per cleaned location."""
-    stations: dict[int, Station] = {}
-    for station_id, point in candidates.station_points.items():
-        name = cleaned.location(station_id).name
-        stations[station_id] = Station(
-            station_id=station_id,
-            point=point,
-            kind=KIND_FIXED,
-            name=name or f"Station {station_id}",
-        )
-    next_id = max(stations) + 1 if stations else 0
-    for cluster_id in selection.selected_cluster_ids:
-        stations[next_id] = Station(
-            station_id=next_id,
-            point=candidates.cluster_centroids[cluster_id],
-            kind=KIND_SELECTED,
-            name=f"New station {next_id} (cluster {cluster_id})",
-            source_cluster_id=cluster_id,
-        )
-        next_id += 1
-
-    station_index: GridIndex[int] = GridIndex(cell_m=250.0)
-    for station_id, station in stations.items():
-        station_index.insert(station_id, station.point)
-    location_to_station: dict[int, int] = {}
-    for record in cleaned.locations():
-        location_to_station[record.location_id], _ = baseline_nearest(
-            station_index, record.point()
-        )
-
-    trips: list[TripOD] = []
-    for rental in cleaned.rentals():
-        trips.append(
-            TripOD(
-                origin=location_to_station[rental.rental_location_id],
-                destination=location_to_station[rental.return_location_id],
-                day_of_week=rental.day_of_week,
-                hour_of_day=rental.hour_of_day,
-            )
-        )
-    return SelectedNetwork(
-        stations=stations,
-        location_to_station=location_to_station,
-        trips=trips,
-    )
-
-
-def _baseline_stage_clean(runner) -> tuple:
-    return baseline_clean_dataset(runner.raw)
-
-
-def _baseline_stage_candidates(runner, clean):
-    cleaned = clean[0]
-    return baseline_build_candidate_network(cleaned, runner.config.clustering)
-
-
-def _baseline_stage_selection(runner, candidates):
-    return select_stations(candidates, runner.config.selection)
-
-
-def _baseline_stage_network(runner, clean, candidates, selection):
-    cleaned = clean[0]
-    return baseline_build_selected_network(cleaned, candidates, selection)
-
-
-def _baseline_stage_basic(runner, network):
-    return baseline_louvain(network.g_basic(), runner.config.community)
-
-
-def _baseline_stage_day(runner, network):
-    return detect_temporal_communities(
-        network.day_sliced_trips(), 7, runner.config.temporal, mapper=runner.map
-    )
-
-
-def _baseline_stage_hour(runner, network):
-    return detect_temporal_communities(
-        network.hour_sliced_trips(), 24, runner.config.temporal, mapper=runner.map
-    )
-
-
-#: The expansion DAG over reference kernels (feed ``PipelineRunner(stages=...)``
-#: inside :func:`baseline_kernels`; serial use only — bodies are not picklable
-#: promises, and measurements want one core anyway).
-BASELINE_STAGES: tuple[Stage, ...] = (
-    Stage("clean", (), _baseline_stage_clean),
-    Stage("candidates", ("clean",), _baseline_stage_candidates, ("clustering",)),
-    Stage("selection", ("candidates",), _baseline_stage_selection, ("selection",)),
-    Stage("network", ("clean", "candidates", "selection"), _baseline_stage_network),
-    Stage("basic", ("network",), _baseline_stage_basic, ("community",)),
-    Stage("day", ("network",), _baseline_stage_day, ("temporal",)),
-    Stage("hour", ("network",), _baseline_stage_hour, ("temporal",)),
-)
-
-
-@contextmanager
-def baseline_kernels() -> Iterator[None]:
-    """Patch the reference kernels into the live modules.
-
-    Inside the context every ``GridIndex`` query, every Louvain call
-    (direct or through the temporal stages) and every HAC internal
-    (pre-assignment, proximity components, the pairwise matrix,
-    validated linkage) runs the pre-optimisation code path; combined
-    with :data:`BASELINE_STAGES` (reference cleaning, candidate build
-    and network assembly), a full pipeline run measures the pre-PR
-    baseline on today's machine.  Not thread-safe; bench-harness use
-    only.
-    """
-    from ..cluster import hac as hac_mod
-    from ..cluster.linkage import linkage_cluster
-    from ..community import temporal as temporal_mod
-    from ..pipeline import runner as runner_mod
-
-    def within(self, center, radius_m):
-        return baseline_within(self, center, radius_m)
-
-    def nearest(self, center, exclude=None):
-        return baseline_nearest(self, center, exclude)
-
-    def within_many(self, centers, radius_m):
-        return [baseline_within(self, center, radius_m) for center in centers]
-
-    def nearest_many(self, centers, exclude=None):
-        return [baseline_nearest(self, center, exclude) for center in centers]
-
-    def validated_linkage(distances, linkage="complete", *, validate=True):
-        # The pre-rewrite call always validated the matrix.
-        return linkage_cluster(distances, linkage)
-
-    patches = [
-        (GridIndex, "within", within),
-        (GridIndex, "nearest", nearest),
-        (GridIndex, "within_many", within_many),
-        (GridIndex, "nearest_many", nearest_many),
-        (temporal_mod, "louvain", baseline_louvain),
-        (runner_mod, "louvain", baseline_louvain),
-        (hac_mod, "proximity_components", baseline_proximity_components),
-        (hac_mod, "preassign_to_stations", baseline_preassign_to_stations),
-        (hac_mod, "pairwise_haversine_matrix", baseline_pairwise_haversine_matrix),
-        (hac_mod, "linkage_cluster", validated_linkage),
-    ]
-    saved = [(target, name, getattr(target, name)) for target, name, _ in patches]
-    for target, name, replacement in patches:
-        setattr(target, name, replacement)
-    try:
-        yield
-    finally:
-        for target, name, original in saved:
-            setattr(target, name, original)

@@ -2,28 +2,20 @@
 
 One bench invocation measures, on the current machine:
 
-* **end-to-end** — a cold serial pipeline run per workload scale
-  (paper trip volume x1 / x2 / x4 on the calibrated synthetic city),
-  with per-stage wall times from :class:`~repro.perf.StageTimer`;
-* **baseline end-to-end** — the same paper-scale run on the
-  pre-optimisation kernels (:mod:`repro.perf.baseline`), so the
-  recorded speedup is measured by this harness, not claimed;
+* **end-to-end** — a cold pipeline run per workload scale (paper trip
+  volume x1 / x2 / x4 on the calibrated synthetic city), with
+  per-stage wall times from :class:`~repro.perf.StageTimer`;
 * **kernels** — the rewritten hot kernels head-to-head against their
-  reference implementations on the scaled workloads (Louvain on the
-  G_Hour multislice graph; the pipeline's geo-query mix of proximity
-  components, pre-assignment ``within`` and nearest-station
-  reassignment), asserting bit-identical results while timing;
-* **parallel** — the first workload scale serial vs ``jobs=4`` under
-  both the thread and process executors, with a warm serial reference
-  measured in the same block so the recorded ``ratio_vs_serial`` is an
-  apples-to-apples comparison (the cold serial run above pays one-off
-  generation/OS warmup the parallel runs would not).
+  reference implementations (:mod:`repro.perf.baseline`) on the scaled
+  workloads (Louvain on the G_Hour multislice graph; the pipeline's
+  geo-query mix of proximity components, pre-assignment ``within`` and
+  nearest-station reassignment), asserting bit-identical results while
+  timing, so the recorded speedups are measured, not claimed.
 
 Results append to ``BENCH_pipeline.json`` — the benchmark trajectory.
-Every entry carries the git revision (and the machine's CPU count:
-on a single-CPU host the best a 4-way run can do is parity), so the
-file reads as a perf history of the repository; CI uploads it
-per-commit.  :func:`check_parallel_gate` turns the parallel block
+Every entry carries the git revision and the machine's CPU count, so
+the file reads as a perf history of the repository; CI uploads it
+per-commit.  :func:`check_incremental_gate` turns the incremental rung
 into a pass/fail signal for nightly CI.
 """
 
@@ -46,8 +38,6 @@ from ..config import PAPER_CONFIG
 from ..pipeline.runner import PipelineRunner
 from ..synth import GeneratorConfig, SyntheticMobyGenerator
 from .baseline import (
-    BASELINE_STAGES,
-    baseline_kernels,
     baseline_louvain,
     baseline_nearest,
     baseline_preassign_to_stations,
@@ -61,13 +51,6 @@ _BASE_BIKES = 95
 
 DEFAULT_TRAJECTORY = "BENCH_pipeline.json"
 
-#: Parallel-scaling gate: the best jobs-4 configuration may be at most
-#: this much slower than the warm serial reference.  On a single-CPU
-#: host parity (~1.0) is the physical best case, so the limit is a
-#: noise margin over parity rather than a speedup demand; multi-CPU
-#: hosts clear it with real speedups.
-DEFAULT_PARALLEL_MAX_RATIO = 1.1
-
 #: Incremental-recompute gate: re-running after a ~5% append must be at
 #: least this much faster than a cold run over the appended dataset.
 #: The delta touches one weekday and four hour slices, so the warm path
@@ -78,49 +61,6 @@ INCREMENTAL_MIN_SPEEDUP = 3.0
 #: The appended tail, as a fraction of the stored log (the ISSUE's
 #: "≤5% append" scenario).
 INCREMENTAL_DELTA_FRACTION = 0.05
-
-
-def check_parallel_gate(
-    entry: dict[str, Any], max_ratio: float = DEFAULT_PARALLEL_MAX_RATIO
-) -> tuple[bool, str]:
-    """Pass/fail the parallel-scaling gate on one trajectory entry.
-
-    Fails when the entry has no usable parallel measurements, or when
-    the *best* jobs-4 configuration is more than ``max_ratio`` times
-    the warm serial wall — i.e. when running 4-way makes the pipeline
-    slower than not parallelising at all.  Returns ``(ok, message)``;
-    the message is printable either way.
-    """
-    rows = [
-        row
-        for row in entry.get("parallel") or []
-        if isinstance(row.get("ratio_vs_serial"), (int, float))
-    ]
-    if not rows:
-        return False, (
-            "parallel gate: entry records no jobs-4 measurements with a "
-            "ratio_vs_serial — run `repro bench` (any mode) to produce them"
-        )
-    best = min(rows, key=lambda row: row["ratio_vs_serial"])
-    measured = ", ".join(
-        f"{row['executor']} jobs={row['jobs']}: {row['ratio_vs_serial']:.2f}x"
-        for row in rows
-    )
-    scale = best.get("scale", "?")
-    if best["ratio_vs_serial"] > max_ratio:
-        return False, (
-            f"parallel gate FAILED at scale {scale}: best jobs-4 run is "
-            f"{best['ratio_vs_serial']:.2f}x the warm serial wall "
-            f"(limit {max_ratio:.2f}x) — parallel execution is slower than "
-            f"serial. Measured: {measured}. Store contention (namespace "
-            f"stamp writes, lock stripes) or executor fan-out overhead are "
-            f"the usual suspects."
-        )
-    return True, (
-        f"parallel gate OK at scale {scale}: best jobs-4 run is "
-        f"{best['ratio_vs_serial']:.2f}x serial (limit {max_ratio:.2f}x; "
-        f"measured: {measured})"
-    )
 
 
 def check_incremental_gate(
@@ -414,16 +354,10 @@ def run_bench(
 
     end_to_end: list[dict[str, Any]] = []
     kernels: list[dict[str, Any]] = []
-    paper_raw = None
-    first_raw = None
 
     for scale in scales:
         say(f"bench: generating scale-{scale} workload ...")
         raw = SyntheticMobyGenerator(seed=7, config=workload_config(scale)).generate()
-        if first_raw is None:
-            first_raw = raw
-        if scale == 1:
-            paper_raw = raw
         say(f"bench: cold end-to-end run (scale {scale}) ...")
         timer = StageTimer()
         start = time.perf_counter()
@@ -433,7 +367,6 @@ def run_bench(
             "scale": scale,
             "n_rentals": raw.n_rentals,
             "n_locations": raw.n_locations,
-            "jobs": 1,
             "wall_s": round(wall, 3),
             "stages": _stage_walls(timer),
         }
@@ -445,65 +378,11 @@ def run_bench(
             _geo_kernel_bench(result.cleaned, result.network, scale, reps)
         )
 
-    if not quick and paper_raw is not None:
-        say("bench: baseline end-to-end (pre-optimisation kernels) ...")
-        baseline_timer = StageTimer()
-        with baseline_kernels():
-            start = time.perf_counter()
-            PipelineRunner(
-                paper_raw, stages=BASELINE_STAGES, timer=baseline_timer
-            ).run()
-            baseline_wall = time.perf_counter() - start
-        # Same-tree rerun on the snapshotted pre-optimisation kernels:
-        # isolates the kernel rewrites from the shared-stage wins.
-        end_to_end[0]["reference_kernels_wall_s"] = round(baseline_wall, 3)
-        end_to_end[0]["reference_kernels_stages"] = _stage_walls(baseline_timer)
-        end_to_end[0]["speedup_vs_reference_kernels"] = round(
-            baseline_wall / end_to_end[0]["wall_s"], 2
-        )
-
-    # Parallel trajectory: always recorded (quick runs included) so
-    # every entry carries the gate signal.  The serial reference is
-    # re-measured warm, back to back with the parallel runs, so the
-    # ratios compare identical conditions — the cold run above paid
-    # one-off costs the parallel runs would not.
-    parallel: list[dict[str, Any]] = []
-    if first_raw is not None:
-        parallel_scale = scales[0]
-        say(f"bench: warm serial reference (scale {parallel_scale}) ...")
-        start = time.perf_counter()
-        PipelineRunner(first_raw).run()
-        serial_wall = time.perf_counter() - start
-        parallel.append(
-            {
-                "scale": parallel_scale,
-                "jobs": 1,
-                "executor": "serial",
-                "wall_s": round(serial_wall, 3),
-            }
-        )
-        for executor in ("thread", "process"):
-            say(f"bench: parallel run (jobs=4, {executor} executor) ...")
-            start = time.perf_counter()
-            PipelineRunner(first_raw, jobs=4, executor=executor).run()
-            wall = time.perf_counter() - start
-            parallel.append(
-                {
-                    "scale": parallel_scale,
-                    "jobs": 4,
-                    "executor": executor,
-                    "wall_s": round(wall, 3),
-                    "ratio_vs_serial": round(wall / serial_wall, 3),
-                }
-            )
-
     entry = entry_header(
         label or ("quick" if quick else "full"), quick=quick, anchor=path.parent
     )
     entry["end_to_end"] = end_to_end
     entry["kernels"] = kernels
-    if parallel:
-        entry["parallel"] = parallel
 
     # The trajectory's origin is its first *end-to-end* entry (the
     # pre-optimisation tree); every later entry records its paper-scale

@@ -1,4 +1,4 @@
-"""Staged pipeline runner: the expansion DAG with caching + parallelism.
+"""Staged pipeline runner: the expansion DAG with content-addressed caching.
 
 The paper's methodology (Section IV) is a strict stage DAG::
 
@@ -6,18 +6,16 @@ The paper's methodology (Section IV) is a strict stage DAG::
                                                      ├──> day
                                                      └──> hour
 
-:class:`PipelineRunner` executes that DAG with content-addressed
-caching — every stage value is keyed by a fingerprint chaining the
-dataset digest, the stage's relevant configuration sections, and its
-parents' keys — backed by an in-memory LRU and an optional on-disk
-cache directory.  Independent stages and the temporal slice
-aggregation fan out over ``concurrent.futures`` workers, and
-:func:`run_sweep` shares one cache across a whole parameter grid so a
-sweep only recomputes the stages a config actually changes.
+:class:`PipelineRunner` executes that DAG serially, in topological
+order, with content-addressed caching — every stage value is keyed by
+a fingerprint chaining the dataset digest, the stage's relevant
+configuration sections, and its parents' keys — backed by an in-memory
+LRU and an optional on-disk cache directory.  :func:`run_sweep` shares
+one cache across a whole parameter grid so a sweep only recomputes the
+stages a config actually changes.
 
 :class:`~repro.core.NetworkExpansionOptimiser` is a thin facade over
-this runner; use the runner directly for sweeps, warm caches and
-parallel execution.
+this runner; use the runner directly for sweeps and warm caches.
 """
 
 from .._lazy import lazy_exports

@@ -6,9 +6,9 @@ Values are keyed by the content-addressed fingerprints from
 holding the same :class:`StageCache`; the durable tier is a
 :class:`~repro.store.Namespace` of pickled entries (one ``<key>.pkl``
 per stage, written atomically) that makes warm runs survive process
-boundaries — a second ``repro run --cache-dir`` skips every stage.
-Per-key locks serialise concurrent computation of the same stage so a
-sweep never does the shared work twice.
+boundaries — a second runner over the same directory skips every stage.
+Per-key locks serialise concurrent computation of the same stage so
+service jobs sharing one cache never do the shared work twice.
 
 All storage *policy* — atomic publish, byte/entry quotas, LRU-by-access
 eviction whose order survives restarts (file mtimes), backend layout
@@ -24,13 +24,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from ..store import (
-    DirBackend,
-    Namespace,
-    ObjectLRU,
-    ShardedDirBackend,
-    make_backend,
-)
+from ..store import DirBackend, Namespace, ObjectLRU
 
 #: Sentinel returned by :meth:`StageCache.get` on a miss (``None`` is a
 #: legitimate cached value).
@@ -129,37 +123,9 @@ class StageCache:
         return None
 
     @property
-    def max_bytes(self) -> int | None:
-        return self.namespace.max_bytes if self.namespace is not None else None
-
-    @property
-    def max_entries(self) -> int | None:
-        return self.namespace.max_entries if self.namespace is not None else None
-
-    @property
     def evictions(self) -> int:
         """Durable-tier evictions (the namespace's counter)."""
         return self.namespace.evictions if self.namespace is not None else 0
-
-    def spec(self) -> tuple[str, str] | None:
-        """(backend kind, root) a worker process can rebuild this cache from.
-
-        ``None`` when the durable tier is absent or memory-backed —
-        those cannot carry values across a process boundary.
-        """
-        backend = self.namespace.backend if self.namespace is not None else None
-        if not isinstance(backend, DirBackend):
-            return None
-        kind = "sharded" if isinstance(backend, ShardedDirBackend) else "dir"
-        return (kind, str(backend.root))
-
-    @classmethod
-    def from_spec(cls, spec: tuple[str, str] | None) -> "StageCache":
-        """Rebuild an (unbounded) cache over the directory ``spec`` names."""
-        if spec is None:
-            return cls()
-        kind, root = spec
-        return cls(namespace=stage_namespace(make_backend(kind, root)))
 
     # ------------------------------------------------------------------
     # Lookup / store

@@ -5,9 +5,8 @@
 :class:`~repro.pipeline.cache.StageCache` under its content-addressed
 fingerprint before the body runs, and execution counts are kept per
 stage so tests (and benches) can assert that a warm run recomputes
-nothing.  With ``jobs > 1`` the independent community stages run
-concurrently and the temporal stages fan their per-slice aggregation
-out over the same worker budget.
+nothing.  Stages run one after another in topological order: the DAG
+is a chain up to ``network``, so there is nothing worth overlapping.
 
 **Incremental mode.**  When the runner is handed the ``lineage`` of an
 append-mode dataset (see :meth:`repro.service.datasets.DatasetStore.
@@ -26,19 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import shutil
-import tempfile
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..community.louvain import louvain
 from ..community.temporal import (
@@ -83,11 +73,9 @@ N_HOUR_SLICES = 24
 #: grew a :class:`~repro.pipeline.incremental.CleanAux` third element.)
 CACHE_SCHEMA_VERSION = 2
 
-_EXECUTOR_KINDS = ("thread", "process")
-
 
 # ---------------------------------------------------------------------------
-# Stage bodies (module-level so process pools can pickle them)
+# Stage bodies
 # ---------------------------------------------------------------------------
 
 
@@ -186,45 +174,6 @@ def _stage_hour(runner: "PipelineRunner", network):
     )
 
 
-# ---------------------------------------------------------------------------
-# Process-pool stage execution (module-level for picklability)
-# ---------------------------------------------------------------------------
-
-#: Per-worker runner, built once by the pool initializer so the raw
-#: dataset is pickled to each worker exactly once.
-_WORKER_RUNNER: "PipelineRunner | None" = None
-
-
-def _process_worker_init(raw, config, stages, cache_spec, digest, lineage) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = PipelineRunner(
-        raw,
-        config,
-        stages=stages,
-        cache=StageCache.from_spec(cache_spec),
-        jobs=1,
-        raw_digest=digest,
-        lineage=lineage,
-    )
-
-
-def _process_worker_stage(name: str) -> tuple[str, int, float]:
-    """Compute one stage in the worker; the disk cache carries the value.
-
-    Parent stage values arrive through the same on-disk
-    :class:`StageCache` (the scheduler only submits a stage once its
-    inputs are persisted), and the computed value is persisted for the
-    parent and for sibling workers before the call returns.  The
-    returned wall time is measured *inside* the worker, so parent-side
-    timings exclude worker-slot queue wait.
-    """
-    runner = _WORKER_RUNNER
-    assert runner is not None, "worker initializer did not run"
-    start = time.perf_counter()
-    runner.stage(name)
-    return name, runner.executions.get(name, 0), time.perf_counter() - start
-
-
 #: The expansion DAG (paper Section IV), in topological order.
 EXPANSION_STAGES: tuple[Stage, ...] = (
     Stage("clean", (), _stage_clean),
@@ -238,7 +187,7 @@ EXPANSION_STAGES: tuple[Stage, ...] = (
 
 
 class PipelineRunner:
-    """Executes the expansion DAG with caching and parallel fan-out.
+    """Executes the expansion DAG with content-addressed caching.
 
     Parameters
     ----------
@@ -253,15 +202,6 @@ class PipelineRunner:
         omitted, a private cache is created from ``cache_dir``.
     cache_dir:
         Optional on-disk cache directory for cross-process warm runs.
-    jobs:
-        Worker budget.  ``1`` (default) runs everything serially;
-        results are identical either way.
-    executor:
-        ``"thread"`` or ``"process"`` — backend for the temporal slice
-        fan-out.  With ``"process"`` and ``jobs > 1`` the *stage* fan-out
-        also moves to worker processes, with the on-disk
-        :class:`StageCache` as the cross-process rendezvous (see
-        :meth:`_run_dag_process`).
     lineage:
         Optional append-lineage document of the raw dataset (the
         ``lineage`` block of :meth:`repro.service.datasets.DatasetStore.
@@ -278,8 +218,7 @@ class PipelineRunner:
         report lands on :attr:`ExpansionResult.timings`.
     cancel:
         Optional zero-argument callable polled at every stage boundary
-        (before a stage body runs, and before new stages are scheduled
-        on a worker pool).  Returning ``True`` aborts the run with
+        (before a stage body runs).  Returning ``True`` aborts the run with
         :class:`~repro.exceptions.PipelineCancelledError`.  Stage
         bodies are never interrupted mid-flight, so everything already
         computed is cached consistently and a resubmitted run resumes
@@ -301,20 +240,12 @@ class PipelineRunner:
         stages: Sequence[Stage] = EXPANSION_STAGES,
         cache: StageCache | None = None,
         cache_dir: str | Path | None = None,
-        jobs: int = 1,
-        executor: str = "thread",
         raw_digest: str | None = None,
         lineage: Mapping[str, Any] | None = None,
         timer: "StageTimer | None" = None,
         cancel: Callable[[], bool] | None = None,
         stage_observer: Callable[[str, float, bool], None] | None = None,
     ) -> None:
-        if jobs < 1:
-            raise PipelineError("jobs must be at least 1")
-        if executor not in _EXECUTOR_KINDS:
-            raise PipelineError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTOR_KINDS}"
-            )
         self.raw = raw
         self.config = config
         self.stages: dict[str, Stage] = {}
@@ -329,8 +260,6 @@ class PipelineRunner:
                         f"stage {stage.name!r} inputs unknown stage {dep!r}"
                     )
         self.cache = cache if cache is not None else StageCache(cache_dir)
-        self.jobs = jobs
-        self.executor = executor
         self.timer = timer
         self.cancel = cancel
         self.stage_observer = stage_observer
@@ -348,8 +277,6 @@ class PipelineRunner:
             "slices_reused": 0,
             "slices_recomputed": 0,
         }
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._pool_mutex = threading.Lock()
 
     # ------------------------------------------------------------------
     # Fingerprints
@@ -527,8 +454,7 @@ class PipelineRunner:
         Each slice's aggregate is cached under (slice content digest,
         assignment digest); an append touches only the slices its new
         trips start in, so an incremental rerun re-aggregates those and
-        reads the rest back.  Missing slices are recomputed through
-        :meth:`map`, preserving the cold path's fan-out.
+        reads the rest back.
         """
         buckets = (
             network.day_slice_buckets()
@@ -551,10 +477,8 @@ class PipelineRunner:
                 missing.append(index)
             else:
                 aggregates[index] = value
-        computed = self.map(
-            aggregate_slice, [buckets[index] for index in missing]
-        )
-        for index, value in zip(missing, computed):
+        for index in missing:
+            value = aggregate_slice(buckets[index])
             self.cache.put(keys[index], value)
             aggregates[index] = value
         with self._incremental_mutex:
@@ -649,184 +573,12 @@ class PipelineRunner:
         return order
 
     def _run_dag(self) -> None:
-        order = self._topological_order()
-        if self.jobs == 1:
-            for name in order:
-                self.stage(name)
-            return
-        if self.executor == "process":
-            self._run_dag_process(order)
-            return
-        computed = set(self._values)
-        remaining = {
-            name: set(self.stages[name].inputs) - computed
-            for name in order
-            if name not in computed
-        }
-        # Thread-backed stage fan-out: values are shared in-process and
-        # the bodies drop to worker pools themselves.
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures: dict[Any, str] = {}
-            while remaining or futures:
-                ready = [name for name, deps in remaining.items() if not deps]
-                for name in ready:
-                    del remaining[name]
-                    futures[pool.submit(self.stage, name)] = name
-                if not futures:
-                    raise PipelineError("stage cycle in pipeline DAG")
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    finished = futures.pop(future)
-                    future.result()  # re-raise stage errors
-                    for deps in remaining.values():
-                        deps.discard(finished)
-
-    def _run_dag_process(self, order: list[str]) -> None:
-        """Stage fan-out over worker processes.
-
-        The on-disk :class:`StageCache` is the cross-process
-        rendezvous: workers read their inputs from it and persist their
-        outputs to it, and the parent loads every value back when its
-        future completes.  When the runner's cache has no disk tier —
-        or is size-bounded, where a concurrent run's LRU eviction could
-        delete a stage pickle between the worker's write and the
-        parent's read — a temporary eviction-exempt directory carries
-        the rendezvous for this run only.  Stage bodies and the raw
-        dataset must be picklable (the built-in
-        :data:`EXPANSION_STAGES` are).
-        """
-        temp_dir: str | None = None
-        if (
-            self.cache.spec() is not None
-            and self.cache.max_bytes is None
-            and self.cache.max_entries is None
-        ):
-            rendezvous = self.cache
-        else:
-            temp_dir = tempfile.mkdtemp(prefix="repro-pipeline-cache-")
-            rendezvous = StageCache(temp_dir)
-        try:
-            # Serve warm stages straight from the runner's own cache —
-            # workers only ever see the rendezvous, so anything they
-            # would otherwise recompute is loaded (and re-published)
-            # here first.  This also covers stages already computed
-            # in-parent (e.g. ``clean`` via run()'s sanity check).
-            for name in order:
-                if name not in self._values:
-                    value = self.cache.get(self.key(name))
-                    if value is not MISS:
-                        self._values[name] = value
-                        if self.timer is not None:
-                            self.timer.add(f"stage:{name}", 0.0, cached=True)
-                        if self.stage_observer is not None:
-                            self.stage_observer(name, 0.0, True)
-            for name, value in self._values.items():
-                if name in self.stages:
-                    key = self.key(name)
-                    if rendezvous.get(key) is MISS:
-                        rendezvous.put(key, value)
-            computed = set(self._values)
-            remaining = {
-                name: set(self.stages[name].inputs) - computed
-                for name in order
-                if name not in computed
-            }
-            if not remaining:
-                return  # fully warm; no worker pool needed
-            timer = self.timer
-            with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_process_worker_init,
-                initargs=(
-                    self.raw,
-                    self.config,
-                    tuple(self.stages.values()),
-                    rendezvous.spec(),
-                    self.raw_digest,
-                    self.lineage,
-                ),
-            ) as pool:
-                futures: dict[Any, str] = {}
-                while remaining or futures:
-                    # Workers cannot see the parent's cancel flag, so the
-                    # scheduling loop is the process executor's boundary:
-                    # in-flight stages drain, no new ones are submitted.
-                    self.check_cancel()
-                    ready = [name for name, deps in remaining.items() if not deps]
-                    for name in ready:
-                        del remaining[name]
-                        futures[pool.submit(_process_worker_stage, name)] = name
-                    if not futures:
-                        raise PipelineError("stage cycle in pipeline DAG")
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        finished = futures.pop(future)
-                        _, executions, stage_wall = future.result()  # re-raise
-                        if executions:
-                            self.executions[finished] = (
-                                self.executions.get(finished, 0) + executions
-                            )
-                        value = rendezvous.get(self.key(finished))
-                        if value is MISS:
-                            raise PipelineError(
-                                f"stage {finished!r} missing from the "
-                                "cross-process rendezvous after the worker "
-                                "finished — the rendezvous disk is likely "
-                                "full or was cleared externally"
-                            )
-                        self._values[finished] = value
-                        if rendezvous is not self.cache:
-                            self.cache.put(self.key(finished), value)
-                        if timer is not None:
-                            timer.add(
-                                f"stage:{finished}",
-                                stage_wall,
-                                cached=executions == 0,
-                            )
-                        if self.stage_observer is not None:
-                            self.stage_observer(
-                                finished, stage_wall, executions == 0
-                            )
-                        for deps in remaining.values():
-                            deps.discard(finished)
-        finally:
-            if temp_dir is not None:
-                shutil.rmtree(temp_dir, ignore_errors=True)
-
-    # ------------------------------------------------------------------
-    # Intra-stage fan-out
-    # ------------------------------------------------------------------
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        """Map ``fn`` over ``items`` on the configured worker budget.
-
-        Results keep input order, so parallel output is identical to
-        the serial path.  Used by the temporal stages to aggregate the
-        7 day / 24 hour slices concurrently.  Concurrent process-backed
-        fan-outs share one pool (see :meth:`close`); thread pools are
-        cheap and made per call.
-        """
-        items = list(items)
-        if self.jobs == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        if self.executor == "process":
-            return list(self._shared_process_pool().map(fn, items))
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(fn, items))
-
-    def _shared_process_pool(self) -> Executor:
-        with self._pool_mutex:
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(max_workers=self.jobs)
-            return self._process_pool
+        for name in self._topological_order():
+            self.stage(name)
 
     def close(self) -> None:
-        """Shut down the shared process pool and flush cache stamps."""
-        with self._pool_mutex:
-            pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown()
-        self.cache.close()  # debounced access stamps become durable
+        """Flush the stage cache's debounced access stamps."""
+        self.cache.close()
 
     def __enter__(self) -> "PipelineRunner":
         return self
@@ -860,22 +612,12 @@ def config_grid(
     return grid
 
 
-def _sweep_one(args: tuple) -> ExpansionResult:
-    raw, config, cache_spec, digest = args
-    runner = PipelineRunner(
-        raw, config, cache=StageCache.from_spec(cache_spec), raw_digest=digest
-    )
-    return runner.run()
-
-
 def run_sweep(
     raw: MobyDataset,
     configs: Sequence[PipelineConfig],
     *,
     cache: StageCache | None = None,
     cache_dir: str | Path | None = None,
-    jobs: int = 1,
-    executor: str = "thread",
     cancel: Callable[[], bool] | None = None,
     stage_observer: Callable[[str, float, bool], None] | None = None,
 ) -> list[ExpansionResult]:
@@ -884,57 +626,19 @@ def run_sweep(
     All configs run over the same dataset and share one cache, so the
     stages a config does not change (typically ``clean`` and often
     ``candidates``/``network``) are computed once for the whole grid.
-    Results come back in ``configs`` order.
-
-    With ``executor="process"`` the workers can only share stage
-    values through a disk cache; when neither ``cache_dir`` nor a
-    disk-backed ``cache`` is given, a temporary directory carries the
-    sharing for the duration of the sweep (the caller's in-memory
-    cache cannot be warmed across process boundaries).
-
-    ``cancel`` and ``stage_observer`` are threaded into every
-    serial/thread-backed runner (the per-stage boundary checks and the
-    per-stage metrics feed of :class:`PipelineRunner`); with the
-    process executor ``cancel`` is only polled before the fan-out
-    starts and stages resolved inside workers are not observed —
-    worker processes cannot reach the parent's flag or registry.
+    Results come back in ``configs`` order.  ``cancel`` and
+    ``stage_observer`` are threaded into every runner (the per-stage
+    boundary checks and the per-stage metrics feed of
+    :class:`PipelineRunner`).
     """
-    if executor not in _EXECUTOR_KINDS:
-        raise PipelineError(
-            f"unknown executor {executor!r}; expected one of {_EXECUTOR_KINDS}"
-        )
     if not configs:
         return []
     if cancel is not None and cancel():
         raise PipelineCancelledError("sweep cancelled before it started")
     digest = dataset_digest(raw)
-    if executor == "process" and jobs > 1:
-        cache_spec: tuple[str, str] | None = None
-        if cache is not None:
-            cache_spec = cache.spec()
-        elif cache_dir is not None:
-            cache_spec = ("dir", str(cache_dir))
-        temp_dir = None
-        if cache_spec is None:
-            temp_dir = tempfile.mkdtemp(prefix="repro-sweep-cache-")
-            cache_spec = ("dir", temp_dir)
-        try:
-            # Per-key locks don't reach across processes, so a cold
-            # fan-out would recompute the shared stage prefix in every
-            # worker.  Run the first config in this process to warm the
-            # disk cache, then fan the rest out against it.
-            first = _sweep_one((raw, configs[0], cache_spec, digest))
-            tasks = [(raw, config, cache_spec, digest) for config in configs[1:]]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return [first, *pool.map(_sweep_one, tasks)]
-        finally:
-            if temp_dir is not None:
-                shutil.rmtree(temp_dir, ignore_errors=True)
-
     shared = cache if cache is not None else StageCache(cache_dir)
-
-    def one(config: PipelineConfig) -> ExpansionResult:
-        return PipelineRunner(
+    return [
+        PipelineRunner(
             raw,
             config,
             cache=shared,
@@ -942,8 +646,5 @@ def run_sweep(
             cancel=cancel,
             stage_observer=stage_observer,
         ).run()
-
-    if jobs == 1 or len(configs) <= 1:
-        return [one(config) for config in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, configs))
+        for config in configs
+    ]

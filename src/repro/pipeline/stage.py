@@ -27,8 +27,8 @@ class Stage:
         Names of upstream stages whose values the body consumes, in the
         order the body expects them.
     fn:
-        The body.  It receives the runner (for config and the slice
-        mapper) followed by one positional argument per input stage.
+        The body.  It receives the runner (for config and the stage
+        cache) followed by one positional argument per input stage.
     config_sections:
         :class:`~repro.config.PipelineConfig` attribute names this stage
         reads.  Only these feed the stage's fingerprint, so changing an

@@ -7,7 +7,7 @@ Three skins over one service layer:
 
       from repro.service import DatasetRef, ExpansionService, ScenarioSpec
 
-      service = ExpansionService(cache_dir="cache")
+      service = ExpansionService(store_dir="store")
       envelope = service.run(ScenarioSpec(dataset=DatasetRef.synthetic(7)))
       envelope["outputs"]["run"]["headline"]["table4_gbasic"]
 

@@ -34,9 +34,9 @@ cache, results store, dataset store *and job journal* in namespaces of
 a single :class:`~repro.store.Store` — stop the process, start a new
 one over the same directory, and prior jobs are listed, their results
 served, and the jobs that were still queued (or interrupted mid-run)
-are re-queued and resume against the warm stage cache.  The legacy
-per-store parameters (``cache_dir``/``results_dir``/``datasets_dir``)
-remain as deprecated aliases addressing the same layouts directly.
+are re-queued and resume against the warm stage cache.  Without a
+store every component is in memory, except that ``cache_dir`` gives
+the stage cache alone a directory of its own.
 """
 
 from __future__ import annotations
@@ -152,33 +152,18 @@ class ExpansionService:
         pending or running.
     cache:
         A shared :class:`StageCache`; built from ``cache_dir`` /
-        ``cache_bytes`` / ``cache_entries`` (deprecated aliases) or
-        the store's ``stage`` namespace when omitted.
-    results_dir:
-        Deprecated alias: directory persisting result envelopes by
-        fingerprint directly (the store's ``results`` namespace, or
-        memory, when omitted).
+        ``cache_bytes`` / ``cache_entries`` or the store's ``stage``
+        namespace when omitted.
     max_workers:
         Bound on concurrently executing jobs.
-    pipeline_jobs:
-        Worker budget *inside* one pipeline run (stage/slice fan-out).
-    pipeline_executor:
-        ``"thread"`` or ``"process"`` — backend for the stage fan-out
-        inside each run.  ``"process"`` keeps one slow scenario from
-        starving the GIL-bound worker threads; it needs a disk-backed
-        cache (``cache_dir``) to share stage values across processes,
-        and falls back to a per-run temporary rendezvous otherwise.
-    sweep_executor:
-        ``"thread"`` or ``"process"`` — backend for sweep fan-out.
     retain_jobs:
         Keep at most this many *terminal* (done/failed/cancelled) jobs
         in the job table, pruned oldest-first; in-flight jobs never
         count against the limit.  ``None`` disables pruning.
     datasets:
         A :class:`DatasetStore` for ``named`` dataset refs; built from
-        ``datasets_dir`` (deprecated alias) or the store's
-        ``datasets`` namespace and the ``dataset*`` caps when omitted
-        (memory-only without either).
+        the store's ``datasets`` namespace and the ``dataset*`` caps
+        when omitted (memory-only without a store).
     metrics:
         The observability registry: ``True`` (default) builds a fresh
         :class:`~repro.obs.MetricsRegistry`, ``False`` installs the
@@ -228,14 +213,9 @@ class ExpansionService:
         cache_dir: str | Path | None = None,
         cache_bytes: int | None = None,
         cache_entries: int | None = None,
-        results_dir: str | Path | None = None,
         max_workers: int = 2,
-        pipeline_jobs: int = 1,
-        pipeline_executor: str = "thread",
-        sweep_executor: str = "thread",
         retain_jobs: int | None = 1024,
         datasets: DatasetStore | None = None,
-        datasets_dir: str | Path | None = None,
         max_dataset_bytes: int | None = DEFAULT_MAX_DATASET_BYTES,
         max_datasets_bytes: int | None = None,
         max_datasets: int | None = None,
@@ -251,8 +231,6 @@ class ExpansionService:
     ) -> None:
         if max_workers < 1:
             raise ServiceError("max_workers must be at least 1")
-        if pipeline_jobs < 1:
-            raise ServiceError("pipeline_jobs must be at least 1")
         if retain_jobs is not None and retain_jobs < 1:
             raise ServiceError("retain_jobs must be positive (or None)")
         if healthz_ttl is not None and healthz_ttl < 0:
@@ -273,17 +251,13 @@ class ExpansionService:
         self.obs.bind_worker(worker)
         self.event_log = event_log
         self.healthz_ttl = healthz_ttl
-        self.pipeline_executor = pipeline_executor
-        self.sweep_executor = sweep_executor
         self.retain_jobs = retain_jobs
         if store is None and (store_dir is not None or store_backend is not None):
             store = Store(store_dir, store_backend)
         self.store = store
-        # Per component: an explicit object wins, then the deprecated
-        # per-store directory alias, then the shared store's namespace,
-        # then memory.  Aliases address the exact same on-disk layouts
-        # the components wrote before storage was unified, so existing
-        # directories keep working either way.
+        # Per component: an explicit object wins, then (for the stage
+        # cache) ``cache_dir``, then the shared store's namespace, then
+        # memory.
         if cache is not None:
             self.cache = cache
         elif cache_dir is not None or store is None or store.backend_kind == "memory":
@@ -302,8 +276,8 @@ class ExpansionService:
                 )
             )
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        if results_dir is not None or store is None:
-            self.results = ResultsStore(results_dir, breaker=self.breaker)
+        if store is None:
+            self.results = ResultsStore(breaker=self.breaker)
         else:
             self.results = ResultsStore(
                 namespace=results_namespace(store.backend("results")),
@@ -315,9 +289,8 @@ class ExpansionService:
         self.results.verdicts = self.cache
         if datasets is not None:
             self.datasets = datasets
-        elif datasets_dir is not None or store is None:
+        elif store is None:
             self.datasets = DatasetStore(
-                datasets_dir,
                 max_dataset_bytes=max_dataset_bytes,
                 max_total_bytes=max_datasets_bytes,
                 max_datasets=max_datasets,
@@ -336,7 +309,6 @@ class ExpansionService:
             if store is not None
             else None
         )
-        self.pipeline_jobs = pipeline_jobs
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-service"
         )
@@ -1123,8 +1095,6 @@ class ExpansionService:
                 raw,
                 config,
                 cache=self.cache,
-                jobs=self.pipeline_jobs,
-                executor=self.pipeline_executor,
                 raw_digest=digest,
                 timer=timer,
                 cancel=cancel,
@@ -1222,8 +1192,6 @@ class ExpansionService:
                 axis_raw,
                 [config for _, config in grid],
                 cache=self.cache,
-                jobs=self.pipeline_jobs,
-                executor=self.sweep_executor,
                 cancel=cancel,
                 stage_observer=self.obs.observe_stage,
             )

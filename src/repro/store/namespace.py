@@ -14,9 +14,8 @@ used to implement privately:
 * **byte/entry quotas with LRU eviction** — after every store the
   least-recently-*accessed* entries are evicted until ``max_bytes`` /
   ``max_entries`` hold again.  The just-written entry is exempt (even
-  a degenerate ``max_bytes=0`` keeps the latest value), as is every
-  entry of an unbounded namespace — which is exactly how the process
-  executor's rendezvous directory opts out of eviction;
+  a degenerate ``max_bytes=0`` keeps the latest value), and an
+  unbounded namespace never evicts;
 * **persisted access metadata** — recency rides on the backend's
   access stamps (file mtimes for directory backends), so eviction
   order survives restarts.  Reads go through the backend's ``peek``

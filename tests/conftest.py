@@ -101,14 +101,13 @@ def paper_result():
 def paper_runner_result():
     """The same paper run, straight through :class:`PipelineRunner`.
 
-    Executed with ``jobs=2`` so the golden suite also pins the
-    parallel path to the serial facade numbers.  Slow; shared.
+    Slow; shared.
     """
     from repro import PipelineRunner
     from repro.synth import generate_paper_dataset
 
     require_numpy()
-    return PipelineRunner(generate_paper_dataset(seed=7), jobs=2).run()
+    return PipelineRunner(generate_paper_dataset(seed=7)).run()
 
 
 @pytest.fixture()

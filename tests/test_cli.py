@@ -85,8 +85,7 @@ class TestSweep:
                 "sweep",
                 "--data", str(tmp_path / "data"),
                 "--set", "temporal.coupling=0.05,0.25",
-                "--jobs", "2",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--store-dir", str(tmp_path / "store"),
             ]
         )
         assert code == 0
@@ -138,12 +137,12 @@ class TestCacheDir:
         argv = [
             "run",
             "--data", str(tmp_path / "data"),
-            "--cache-dir", str(tmp_path / "cache"),
+            "--store-dir", str(tmp_path / "store"),
         ]
         assert cli.main(argv) == 0
         assert calls["count"] == 1
         capsys.readouterr()
-        # Warm run: every stage comes from the on-disk cache.
+        # Warm run: the stored envelope answers; no stage runs.
         assert cli.main(argv) == 0
         assert calls["count"] == 1
         assert "TABLE VI" in capsys.readouterr().out
@@ -240,12 +239,12 @@ class TestServeParser:
         assert cli.main(
             [
                 "run", "--seed", "11",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--store-dir", str(tmp_path / "store"),
                 "--cache-entries", "3",
             ]
         ) == 0
         # Only the 3 most recent of the 7 stage pickles survive.
-        assert len(list((tmp_path / "cache").glob("*.pkl"))) == 3
+        assert len(list((tmp_path / "store" / "stage").glob("*.pkl"))) == 3
 
 
 class TestParser:
@@ -256,6 +255,12 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+    def test_bench_check_needs_incremental(self, capsys):
+        """`--check` gates only the incremental rung; alone it is a
+        usage error, not a run that gates nothing."""
+        assert cli.main(["bench", "--check"]) == 2
+        assert "--incremental" in capsys.readouterr().err
 
 
 @needs_numpy

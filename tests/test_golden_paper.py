@@ -9,10 +9,9 @@ behaviour change regenerates the fixture with::
 
     pytest tests/test_golden_paper.py --update-goldens
 
-Both execution paths are pinned to the same goldens: the legacy
-``NetworkExpansionOptimiser.run()`` facade (serial) and a direct
-``PipelineRunner`` run with ``jobs=2`` — so the suite simultaneously
-locks the refactor and proves parallel output equals serial output.
+Both entry points are pinned to the same goldens: the legacy
+``NetworkExpansionOptimiser.run()`` facade and a direct
+``PipelineRunner`` run.
 """
 
 import json
@@ -100,49 +99,17 @@ def _assert_matches(measured: dict, goldens: dict) -> None:
 
 
 class TestGoldenFacade:
-    """Legacy ``NetworkExpansionOptimiser.run()`` path (serial)."""
+    """Legacy ``NetworkExpansionOptimiser.run()`` path."""
 
     def test_headline_numbers_pinned(self, paper_result, goldens):
         _assert_matches(collect_goldens(paper_result), goldens)
 
 
 class TestGoldenRunner:
-    """Direct ``PipelineRunner`` path, run with ``jobs=2``."""
+    """Direct ``PipelineRunner`` path."""
 
     def test_headline_numbers_pinned(self, paper_runner_result, goldens):
         _assert_matches(collect_goldens(paper_runner_result), goldens)
-
-    def test_executor_parity_byte_identical(
-        self, paper_result, paper_runner_result, goldens, tmp_path
-    ):
-        """jobs=1, jobs=4 threads and jobs=4 processes agree to the byte.
-
-        The process run shares stage values with its workers through an
-        on-disk cache only, so this also proves the cross-process
-        rendezvous reproduces the serial numbers exactly.
-        """
-        from repro import PipelineRunner
-        from repro.pipeline.cache import StageCache
-        from repro.serialize import canonical_json
-        from repro.synth import generate_paper_dataset
-
-        thread_result = PipelineRunner(
-            generate_paper_dataset(seed=7), jobs=4, executor="thread"
-        ).run()
-        process_runner = PipelineRunner(
-            generate_paper_dataset(seed=7),
-            cache=StageCache(tmp_path / "process-cache"),
-            jobs=4,
-            executor="process",
-        )
-        process_result = process_runner.run()
-        serial_bytes = canonical_json(paper_result.headline())
-        assert canonical_json(thread_result.headline()) == serial_bytes
-        assert canonical_json(process_result.headline()) == serial_bytes
-        assert canonical_json(paper_runner_result.headline()) == serial_bytes
-        _assert_matches(collect_goldens(process_result), goldens)
-        # every stage computed exactly once, in some worker
-        assert sum(process_runner.executions.values()) == 7
 
     def test_partitions_identical_across_paths(
         self, paper_result, paper_runner_result

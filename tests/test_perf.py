@@ -389,73 +389,3 @@ class TestWorkloadConfig:
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
             workload_config(0)
-
-
-class TestParallelGate:
-    """check_parallel_gate on synthetic trajectory entries."""
-
-    @staticmethod
-    def _entry(rows):
-        return {"label": "synthetic", "parallel": rows}
-
-    def test_passes_when_best_executor_within_limit(self):
-        from repro.perf.bench import check_parallel_gate
-
-        ok, message = check_parallel_gate(
-            self._entry(
-                [
-                    {"scale": 1, "jobs": 1, "executor": "serial", "wall_s": 4.0},
-                    {"scale": 1, "jobs": 4, "executor": "thread",
-                     "wall_s": 4.1, "ratio_vs_serial": 1.02},
-                    {"scale": 1, "jobs": 4, "executor": "process",
-                     "wall_s": 6.0, "ratio_vs_serial": 1.5},
-                ]
-            ),
-            max_ratio=1.1,
-        )
-        assert ok
-        assert "OK" in message and "1.02x" in message
-
-    def test_fails_when_every_executor_slower(self):
-        from repro.perf.bench import check_parallel_gate
-
-        ok, message = check_parallel_gate(
-            self._entry(
-                [
-                    {"scale": 1, "jobs": 4, "executor": "thread",
-                     "wall_s": 5.0, "ratio_vs_serial": 1.25},
-                    {"scale": 1, "jobs": 4, "executor": "process",
-                     "wall_s": 6.0, "ratio_vs_serial": 1.5},
-                ]
-            ),
-            max_ratio=1.1,
-        )
-        assert not ok
-        assert "FAILED" in message
-        assert "1.25x" in message  # names the best (least-bad) ratio
-        assert "slower than" in message
-
-    def test_fails_on_missing_parallel_block(self):
-        from repro.perf.bench import check_parallel_gate
-
-        for entry in ({}, self._entry([]), self._entry(
-            [{"scale": 1, "jobs": 1, "executor": "serial", "wall_s": 4.0}]
-        )):
-            ok, message = check_parallel_gate(entry)
-            assert not ok
-            assert "no jobs-4 measurements" in message
-
-    def test_default_limit_is_parity_plus_noise(self):
-        from repro.perf.bench import (
-            DEFAULT_PARALLEL_MAX_RATIO,
-            check_parallel_gate,
-        )
-
-        assert 1.0 < DEFAULT_PARALLEL_MAX_RATIO <= 1.2
-        ok, _ = check_parallel_gate(
-            self._entry(
-                [{"scale": 1, "jobs": 4, "executor": "thread",
-                  "wall_s": 1.0, "ratio_vs_serial": 1.0}]
-            )
-        )
-        assert ok

@@ -1,5 +1,5 @@
 """Tests for the staged pipeline runner: caching, fingerprints,
-parallel equivalence, and facade equivalence."""
+and facade equivalence."""
 
 import pytest
 
@@ -176,17 +176,6 @@ class TestFingerprints:
         assert set(changed.executions) == {"day", "hour"}
 
 
-class TestParallelEquivalence:
-    def test_parallel_slices_identical_to_serial(self, small_raw):
-        serial = PipelineRunner(small_raw, jobs=1).run()
-        threaded = PipelineRunner(small_raw, jobs=4).run()
-        _same_result(serial, threaded)
-
-    def test_facade_jobs_identical_to_serial(self, small_raw, small_result):
-        parallel = NetworkExpansionOptimiser(small_raw, jobs=3).run()
-        _same_result(small_result, parallel)
-
-
 class TestFacadeEquivalence:
     def test_facade_equals_runner(self, small_raw, small_result):
         runner_result = PipelineRunner(small_raw).run()
@@ -239,26 +228,6 @@ class TestSweep:
             or results[0].hour.modularity != results[1].hour.modularity
         )
 
-    def test_sweep_parallel_matches_serial(self, small_raw):
-        configs = [
-            PAPER_CONFIG.derive({"temporal.coupling": value})
-            for value in (0.05, 0.25)
-        ]
-        serial = run_sweep(small_raw, configs)
-        threaded = run_sweep(small_raw, configs, jobs=2)
-        for left, right in zip(serial, threaded):
-            _same_result(left, right)
-
-    def test_sweep_process_pool_matches_serial(self, small_raw):
-        configs = [
-            PAPER_CONFIG.derive({"temporal.coupling": value})
-            for value in (0.05, 0.25)
-        ]
-        serial = run_sweep(small_raw, configs)
-        forked = run_sweep(small_raw, configs, jobs=2, executor="process")
-        for left, right in zip(serial, forked):
-            _same_result(left, right)
-
     def test_facade_run_sweep_with_axes(self, small_raw):
         optimiser = NetworkExpansionOptimiser(small_raw)
         results = optimiser.run_sweep({"temporal.coupling": [0.05, 0.25]})
@@ -266,14 +235,6 @@ class TestSweep:
 
 
 class TestValidation:
-    def test_bad_jobs_rejected(self, small_raw):
-        with pytest.raises(PipelineError):
-            PipelineRunner(small_raw, jobs=0)
-
-    def test_bad_executor_rejected(self, small_raw):
-        with pytest.raises(PipelineError):
-            PipelineRunner(small_raw, executor="fibers")
-
     def test_unknown_stage_input_rejected(self, small_raw):
         from repro.pipeline import Stage
 

@@ -1,15 +1,20 @@
 """ExpansionService: jobs, deduplication, persistence, failure paths."""
 
+import json
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.exceptions import JobFailedError, ServiceError
+from repro.perf import PerfReport
 from repro.service import (
     DONE,
     DatasetRef,
     ExpansionService,
     ScenarioSpec,
+    make_server,
 )
 from repro.service.store import verdict_key
 
@@ -97,13 +102,12 @@ class TestRun:
 class TestDeduplication:
     N_CLIENTS = 8
 
-    def test_concurrent_identical_requests_run_once(self, small_raw, stage_cache_dir, tmp_path):
-        # A private results store so nothing is pre-computed for this
-        # fingerprint; the shared stage cache does not matter here —
-        # executions are counted per job, not per stage.
-        with ExpansionService(
-            cache_dir=stage_cache_dir, results_dir=tmp_path / "results", max_workers=4
-        ) as svc:
+    def test_concurrent_identical_requests_run_once(self, small_raw, stage_cache_dir):
+        # A fresh service has a private in-memory results store, so
+        # nothing is pre-computed for this fingerprint; the shared stage
+        # cache does not matter here — executions are counted per job,
+        # not per stage.
+        with ExpansionService(cache_dir=stage_cache_dir, max_workers=4) as svc:
             svc.register_dataset("small", small_raw)
             spec = small_spec(overrides={"community.seed": 1234})
             barrier = threading.Barrier(self.N_CLIENTS)
@@ -147,15 +151,15 @@ class TestDeduplication:
 
 class TestResultsStore:
     def test_envelopes_survive_service_restarts(self, small_raw, stage_cache_dir, tmp_path):
-        results_dir = tmp_path / "results"
+        store_dir = tmp_path / "store"
         spec = small_spec()
         with ExpansionService(
-            cache_dir=stage_cache_dir, results_dir=results_dir
+            cache_dir=stage_cache_dir, store_dir=store_dir
         ) as first:
             first.register_dataset("small", small_raw)
             envelope = first.run(spec, timeout=300)
         with ExpansionService(
-            cache_dir=stage_cache_dir, results_dir=results_dir
+            cache_dir=stage_cache_dir, store_dir=store_dir
         ) as second:
             second.register_dataset("small", small_raw)
             again = second.run(spec, timeout=300)
@@ -279,3 +283,119 @@ class TestFailures:
         assert stats["status"] == "ok"
         assert stats["jobs"] >= 1
         assert "cache" in stats and "evictions" in stats["cache"]
+
+
+class TestJobRetention:
+    def test_terminal_jobs_pruned_oldest_first(self, small_raw, tmp_path):
+        with ExpansionService(
+            cache_dir=tmp_path / "cache", retain_jobs=3, max_workers=1
+        ) as service:
+            service.register_dataset("small", small_raw)
+            jobs = []
+            for seed_fleet in range(6):
+                job = service.submit(
+                    ScenarioSpec(
+                        dataset=DatasetRef.named("small"),
+                        outputs=("rebalance",),
+                        fleet_size=10 + seed_fleet,
+                    )
+                )
+                job.wait(600)
+                jobs.append(job)
+            # trigger one more submission so pruning sees terminal jobs
+            final = service.submit(
+                ScenarioSpec(
+                    dataset=DatasetRef.named("small"),
+                    outputs=("rebalance",),
+                    fleet_size=99,
+                )
+            )
+            final.wait(600)
+            stats = service.stats()
+            assert stats["jobs"] <= 3 + 1  # retained + possibly in-flight row
+            assert stats["jobs_pruned"] >= 3
+            assert stats["retain_jobs"] == 3
+            # oldest pruned, newest retained
+            assert service.job(jobs[0].job_id) is None
+            assert service.job(final.job_id) is final
+            # pruning a job never loses its result envelope
+            assert service.results.raw(jobs[0].fingerprint) is not None
+
+    def test_in_flight_jobs_never_pruned(self, small_raw):
+        with ExpansionService(retain_jobs=1, max_workers=2) as service:
+            service.register_dataset("small", small_raw)
+            job = service.submit(ScenarioSpec(dataset=DatasetRef.named("small")))
+            job.wait(600)
+            assert service.job(job.job_id) is job  # newest terminal retained
+
+    def test_rejects_bad_retention(self):
+        with pytest.raises(Exception):
+            ExpansionService(retain_jobs=0)
+
+
+class TestJobTimings:
+    def test_job_document_carries_stage_timings(self, small_raw, tmp_path):
+        with ExpansionService(cache_dir=tmp_path / "cache") as service:
+            service.register_dataset("small", small_raw)
+            job = service.submit(ScenarioSpec(dataset=DatasetRef.named("small")))
+            envelope = job.wait(600)
+        payload = job.to_dict()
+        assert "timings" in payload
+        report = PerfReport.from_dict(payload["timings"])
+        assert report.section("stage:hour") is not None
+        assert report.total_s >= 0
+        # timings never leak into the canonical result envelope
+        assert "timings" not in envelope["outputs"]["run"]
+
+
+class TestHeadlineFields:
+    @pytest.fixture()
+    def server(self, small_raw, tmp_path):
+        service = ExpansionService(cache_dir=tmp_path / "cache")
+        service.register_dataset("small", small_raw)
+        server = make_server(service, port=0).start_background()
+        try:
+            yield server
+        finally:
+            server.stop()
+            service.close()
+
+    def _post(self, server, path, body):
+        request = urllib.request.Request(
+            server.url + path,
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=600) as response:
+            return response.status, json.loads(response.read())
+
+    def _get(self, server, path):
+        with urllib.request.urlopen(server.url + path, timeout=600) as response:
+            return response.status, json.loads(response.read())
+
+    def test_headline_view_skips_bulk_payloads(self, server):
+        status, envelope = self._post(
+            server, "/v1/runs", {"dataset": {"kind": "named", "name": "small"}}
+        )
+        assert status == 200
+        fingerprint = envelope["fingerprint"]
+        status, slim = self._get(
+            server, f"/v1/results/{fingerprint}?fields=headline"
+        )
+        assert status == 200
+        assert slim["fields"] == "headline"
+        assert slim["fingerprint"] == fingerprint
+        run_view = slim["outputs"]["run"]
+        assert run_view == {"headline": envelope["outputs"]["run"]["headline"]}
+        assert "network" not in run_view
+        assert len(json.dumps(slim)) < len(json.dumps(envelope)) / 10
+
+    def test_unsupported_fields_selection_is_rejected(self, server):
+        status, envelope = self._post(
+            server, "/v1/runs", {"dataset": {"kind": "named", "name": "small"}}
+        )
+        url = f"{server.url}/v1/results/{envelope['fingerprint']}?fields=everything"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(url, timeout=60)
+        assert excinfo.value.code == 400

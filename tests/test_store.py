@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import StoreError, StoreKeyError, StoreQuotaError
-from repro.pipeline.cache import MISS, StageCache
+from repro.pipeline.cache import MISS, StageCache, stage_namespace
 from repro.service.datasets import DatasetStore
 from repro.service.store import ResultsStore
 from repro.store import (
@@ -309,7 +309,9 @@ class TestFormatStability:
 
     def test_sharded_stage_cache_holds_identical_pickle_bytes(self, tmp_path):
         flat = StageCache(namespace=None, memory_slots=0)
-        sharded = StageCache.from_spec(("sharded", str(tmp_path)))
+        sharded = StageCache(
+            namespace=stage_namespace(make_backend("sharded", tmp_path))
+        )
         sharded.put(self.STAGE_KEY, self.STAGE_VALUE)
         files = [p for p in tmp_path.rglob("*.pkl")]
         assert len(files) == 1

@@ -2,15 +2,14 @@
 
 The storm tests hammer one :class:`~repro.store.Namespace` from many
 threads with a mixed get/put/touch/evict workload and then check the
-invariants the parallel pipeline depends on: no deadlock, no torn or
+invariants concurrent service jobs depend on: no deadlock, no torn or
 lost entries, exact quota accounting once the storm settles, and a
 lock-held entry never chosen as an eviction victim.
 
 The stamp-policy tests pin the de-contended read path: unbounded
-namespaces (the process executor's rendezvous shape) write **zero**
-recency stamps per hit, bounded ones coalesce stamps per key within
-``touch_window_s`` and flush them on :meth:`flush_touches` /
-:meth:`close` / any eviction scan.
+namespaces write **zero** recency stamps per hit, bounded ones
+coalesce stamps per key within ``touch_window_s`` and flush them on
+:meth:`flush_touches` / :meth:`close` / any eviction scan.
 """
 
 from __future__ import annotations
@@ -163,18 +162,17 @@ def test_unbounded_namespace_stamps_nothing(kind, tmp_path):
     assert namespace.hits == 200
 
 
-def test_rendezvous_stage_cache_stamps_nothing(tmp_path):
-    """The process executor's rendezvous shape pays zero stamp writes.
+def test_unbounded_stage_cache_stamps_nothing(tmp_path):
+    """An unbounded on-disk stage cache pays zero stamp writes.
 
     Regression: :meth:`Namespace.get` used to stamp recency on every
-    hit even when no quota could ever evict anything, which serialised
-    the parallel stage fan-out on mtime writes to the rendezvous
-    directory.
+    hit even when no quota could ever evict anything, which put an
+    mtime write on every warm stage read.
     """
-    cache = StageCache.from_spec(("dir", str(tmp_path / "rendezvous")))
+    cache = StageCache(tmp_path / "unbounded")
     assert cache.namespace is not None and cache.namespace.unbounded
     cache.put("stage-clean", {"value": 1})
-    cache.clear_memory()  # force durable-tier reads, as a worker would
+    cache.clear_memory()  # force durable-tier reads, as a new process would
     for _ in range(50):
         assert cache.get("stage-clean") is not MISS
         cache.clear_memory()
