@@ -39,7 +39,7 @@ and the ``repro serve`` HTTP endpoints:
 >>> service.run(spec)["outputs"]["run"]["headline"]  # doctest: +SKIP
 
 Sub-packages: :mod:`repro.geo` (geospatial substrate), :mod:`repro.data`
-(relational tables + cleaning), :mod:`repro.synth` (dataset generator),
+(the two Moby tables + cleaning), :mod:`repro.synth` (dataset generator),
 :mod:`repro.graphdb` (property graph), :mod:`repro.cluster` (HAC),
 :mod:`repro.community` (Louvain & friends), :mod:`repro.metrics`,
 :mod:`repro.core` (the expansion pipeline), :mod:`repro.pipeline` (the

@@ -73,10 +73,12 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                              "fan-out for very large stores)")
     parser.add_argument("--cache-bytes", type=int, default=None,
                         help="evict least-recently-used cache pickles once "
-                             "the stage cache exceeds this many bytes")
+                             "the stage cache under --store-dir exceeds "
+                             "this many bytes")
     parser.add_argument("--cache-entries", type=int, default=None,
                         help="evict least-recently-used cache pickles once "
-                             "the stage cache exceeds this many entries")
+                             "the stage cache under --store-dir exceeds "
+                             "this many entries")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="text renders the paper tables; json prints the "
                              "canonical result envelope")
@@ -170,9 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="on-disk layout under --store-dir ('sharded' "
                             "fans entries out by digest prefix)")
     serve.add_argument("--cache-bytes", type=int, default=None,
-                       help="LRU-evict cache pickles beyond this many bytes")
+                       help="LRU-evict cache pickles under --store-dir "
+                            "beyond this many bytes")
     serve.add_argument("--cache-entries", type=int, default=None,
-                       help="LRU-evict cache pickles beyond this many entries")
+                       help="LRU-evict cache pickles under --store-dir "
+                            "beyond this many entries")
     serve.add_argument("--workers", type=int, default=1,
                        help="pre-fork this many serving processes sharing "
                             "one port (SO_REUSEPORT when available); more "
@@ -915,6 +919,16 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    if getattr(args, "store_dir", None) is None:
+        # The cache quotas bound the durable stage tier, which only a
+        # --store-dir has: without one they would bound nothing.
+        for flag, value in (
+            ("--cache-bytes", getattr(args, "cache_bytes", None)),
+            ("--cache-entries", getattr(args, "cache_entries", None)),
+        ):
+            if value is not None:
+                print(f"error: {flag} requires --store-dir", file=sys.stderr)
+                return 2
     return _COMMANDS[args.command](args)
 
 

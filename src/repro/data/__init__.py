@@ -1,4 +1,4 @@
-"""Relational substrate: typed tables, CSV IO and the cleaning pipeline."""
+"""Data layer: Moby's two tables, their row schemas, CSV IO and cleaning."""
 
 from .cleaning import (
     ALL_RULES,
@@ -26,16 +26,13 @@ from .schema import (
     TableSchema,
     schema_from_columns,
 )
-from .tables import Database, ForeignKey, Table
 
 __all__ = [
     "ALL_RULES",
     "CleaningReport",
     "CleaningRuleSets",
     "ColumnSpec",
-    "Database",
     "DatasetSummary",
-    "ForeignKey",
     "LOCATION_SCHEMA",
     "LocationRecord",
     "MobyDataset",
@@ -49,7 +46,6 @@ __all__ = [
     "RULE_UNREFERENCED_LOCATION",
     "RentalRecord",
     "RuleOutcome",
-    "Table",
     "TableSchema",
     "classify_rentals",
     "clean_dataset",

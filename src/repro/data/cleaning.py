@@ -9,7 +9,13 @@ The paper removes, in order:
 5. Rentals whose Rental/Return Location ID is not in the Location table.
 6. Locations never referenced by any remaining rental.
 
-Cleaning is non-destructive: :func:`clean_dataset` builds a fresh
+Rules 1-3 judge each location on its own row, so they become sets of
+location ids; rules 1-5 then decide every rental in one pass, the first
+matching rule claiming it (:meth:`CleaningRuleSets.removal_rule`, the
+one decision both cold and incremental cleaning use); rule 6 keeps the
+locations the surviving rentals reference.  That reproduces applying
+the rules one after another.  Cleaning is non-destructive:
+:func:`clean_dataset` builds a fresh
 :class:`~repro.data.dataset.MobyDataset` and returns it together with a
 :class:`CleaningReport` recording exactly what each rule removed, so a
 Table-I style before/after comparison falls straight out.
@@ -23,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..geo import GeoPoint, in_dublin, on_land
 from ..serialize import check_envelope
 from .dataset import DatasetSummary, MobyDataset
-from .records import LocationRecord, RentalRecord
+from .records import RentalRecord
 
 #: Rule identifiers, in application order.
 RULE_OUTSIDE_DUBLIN = "outside_dublin"
@@ -111,13 +117,6 @@ class CleaningReport:
         )
 
 
-def _location_admissible(record: LocationRecord, oracle: Callable[[GeoPoint], bool]) -> bool:
-    """Apply a geographic oracle; coordinate-less rows pass (handled later)."""
-    if not record.has_coordinates:
-        return True
-    return oracle(record.point())
-
-
 #: Below this many coordinate rows the scalar oracle loop wins; the
 #: decisions are boolean-identical either way (the batch kernels are
 #: exact elementwise replays of the scalar comparisons).
@@ -152,23 +151,6 @@ def _geo_doomed_ids(
     }
 
 
-def _drop_locations(
-    dataset: MobyDataset,
-    doomed_location_ids: set[int],
-    outcome: RuleOutcome,
-) -> None:
-    """Remove locations and every rental touching them, updating the outcome."""
-    doomed_rentals: set[int] = set()
-    for location_id in doomed_location_ids:
-        doomed_rentals.update(dataset.rentals_touching_location(location_id))
-    for rental_id in sorted(doomed_rentals):
-        dataset.remove_rental(rental_id)
-    for location_id in sorted(doomed_location_ids):
-        dataset.remove_location(location_id)
-    outcome.locations_removed += len(doomed_location_ids)
-    outcome.rentals_removed += len(doomed_rentals)
-
-
 @dataclass(frozen=True)
 class CleaningRuleSets:
     """The location-level decisions of rules 1–3, as reusable sets.
@@ -188,14 +170,34 @@ class CleaningRuleSets:
     missing_coordinates: frozenset[int]
     surviving: frozenset[int]
 
+    def removal_rule(self, pickup: int | None, dropoff: int | None) -> str | None:
+        """The rule (1-5) removing a rental with these location ids.
+
+        ``None`` when the rental survives.  The first matching rule in
+        the paper's order claims the rental, exactly as applying the
+        rules one after another would; rule 6 removes only locations,
+        so these five decide every rental.
+        """
+        if pickup in self.outside_dublin or dropoff in self.outside_dublin:
+            return RULE_OUTSIDE_DUBLIN
+        if pickup in self.not_on_land or dropoff in self.not_on_land:
+            return RULE_NOT_ON_LAND
+        if pickup in self.missing_coordinates or dropoff in self.missing_coordinates:
+            return RULE_MISSING_COORDINATES
+        if pickup is None or dropoff is None:
+            return RULE_MISSING_LOCATION_ID
+        if pickup not in self.surviving or dropoff not in self.surviving:
+            return RULE_DANGLING_LOCATION_ID
+        return None
+
 
 def location_rule_sets(dataset: MobyDataset) -> CleaningRuleSets:
     """Compute :class:`CleaningRuleSets` for ``dataset``'s locations.
 
     Matches :func:`clean_dataset` exactly: rule 2 judges only what
     rule 1 left, rule 3 only what rules 1–2 left (the per-location
-    oracles are row-independent, so set subtraction reproduces the
-    sequential removals).
+    oracles are row-independent, so set subtraction reproduces
+    applying the rules one after another).
     """
     doomed_dublin = frozenset(
         _geo_doomed_ids(dataset, in_dublin, "in_dublin_batch")
@@ -228,43 +230,17 @@ def classify_rentals(
 ) -> tuple[list[RentalRecord], dict[str, int]]:
     """Split rentals into survivors and per-rule removal counts.
 
-    Applies rules 1–5 to each rental in :func:`clean_dataset`'s order —
-    the first matching rule claims the removal, exactly as the
-    sequential tables-based passes would have.  Rule 6 removes only
-    locations, so rentals are fully classified here.
+    Each rental is judged by :meth:`CleaningRuleSets.removal_rule`, the
+    decision the cold pass of :func:`clean_dataset_with_rules` makes.
     """
-    counts = {
-        RULE_OUTSIDE_DUBLIN: 0,
-        RULE_NOT_ON_LAND: 0,
-        RULE_MISSING_COORDINATES: 0,
-        RULE_MISSING_LOCATION_ID: 0,
-        RULE_DANGLING_LOCATION_ID: 0,
-    }
+    counts = dict.fromkeys(ALL_RULES[:5], 0)
     survivors: list[RentalRecord] = []
     for rental in rentals:
-        refs = [
-            ref
-            for ref in (rental.rental_location_id, rental.return_location_id)
-            if ref is not None
-        ]
-        if any(ref in rules.outside_dublin for ref in refs):
-            counts[RULE_OUTSIDE_DUBLIN] += 1
-        elif any(ref in rules.not_on_land for ref in refs):
-            counts[RULE_NOT_ON_LAND] += 1
-        elif any(ref in rules.missing_coordinates for ref in refs):
-            counts[RULE_MISSING_COORDINATES] += 1
-        elif (
-            rental.rental_location_id is None
-            or rental.return_location_id is None
-        ):
-            counts[RULE_MISSING_LOCATION_ID] += 1
-        elif not (
-            rental.rental_location_id in rules.surviving
-            and rental.return_location_id in rules.surviving
-        ):
-            counts[RULE_DANGLING_LOCATION_ID] += 1
-        else:
+        rule = rules.removal_rule(rental.rental_location_id, rental.return_location_id)
+        if rule is None:
             survivors.append(rental)
+        else:
+            counts[rule] += 1
     return survivors, counts
 
 
@@ -283,67 +259,42 @@ def clean_dataset_with_rules(
 ) -> tuple[MobyDataset, CleaningReport, CleaningRuleSets]:
     """:func:`clean_dataset`, also returning the location rule sets.
 
-    The geographic oracles run exactly once (over the raw location
-    table) instead of once per rule over the shrinking copy; because
-    every rule-1/2/3 judgement is row-independent, applying the
-    precomputed sets reproduces the sequential removals bit for bit.
-    The sets come back so an incremental rerun can classify appended
-    rentals without touching the oracles at all.
+    The geographic oracles run once, over the raw location table; one
+    pass over the raw rental rows then decides rules 1-5 per rental,
+    and rule 6 keeps the locations the survivors reference (rule 5
+    leaves them only references to surviving locations).  The cleaned
+    dataset is built once, from the kept rows.  The sets come back so
+    an incremental rerun can classify appended rentals without
+    touching the oracles at all.
     """
     rules = location_rule_sets(raw)
-    dataset = raw.copy()
-    report = CleaningReport(before=raw.summary(), after=raw.summary())
-
-    for rule, doomed in (
-        (RULE_OUTSIDE_DUBLIN, rules.outside_dublin),
-        (RULE_NOT_ON_LAND, rules.not_on_land),
-        (RULE_MISSING_COORDINATES, rules.missing_coordinates),
-    ):
-        outcome = RuleOutcome(rule)
-        _drop_locations(dataset, set(doomed), outcome)
-        report.outcomes.append(outcome)
-
-    # Rule 4: rentals without both location ids.  (Rules 4 and 5 scan
-    # raw rows — same predicates, no per-rental record objects.)
-    outcome = RuleOutcome(RULE_MISSING_LOCATION_ID)
-    doomed_rentals = [
-        row["rental_id"]
-        for row in dataset.rental_rows()
-        if row["rental_location_id"] is None or row["return_location_id"] is None
-    ]
-    for rental_id in doomed_rentals:
-        dataset.remove_rental(rental_id)
-    outcome.rentals_removed = len(doomed_rentals)
-    report.outcomes.append(outcome)
-
-    # Rule 5: rentals referencing unknown locations.
-    outcome = RuleOutcome(RULE_DANGLING_LOCATION_ID)
-    doomed_rentals = [
-        row["rental_id"]
-        for row in dataset.rental_rows()
-        if not (
-            dataset.has_location(row["rental_location_id"])
-            and dataset.has_location(row["return_location_id"])
-        )
-    ]
-    for rental_id in doomed_rentals:
-        dataset.remove_rental(rental_id)
-    outcome.rentals_removed = len(doomed_rentals)
-    report.outcomes.append(outcome)
-
-    # Rule 6: locations no remaining rental references.
-    outcome = RuleOutcome(RULE_UNREFERENCED_LOCATION)
-    referenced = dataset.referenced_location_ids()
-    doomed_locations = [
-        record.location_id
-        for record in dataset.locations()
-        if record.location_id not in referenced
-    ]
-    for location_id in doomed_locations:
-        dataset.remove_location(location_id)
-    outcome.locations_removed = len(doomed_locations)
-    report.outcomes.append(outcome)
-
-    dataset.db.check_integrity()
-    report.after = dataset.summary()
+    rentals_removed = dict.fromkeys(ALL_RULES, 0)
+    kept_rentals: list[int] = []
+    referenced: set[int] = set()
+    for row in raw.rental_rows():
+        pickup = row["rental_location_id"]
+        dropoff = row["return_location_id"]
+        rule = rules.removal_rule(pickup, dropoff)
+        if rule is None:
+            kept_rentals.append(row["rental_id"])
+            referenced.add(pickup)
+            referenced.add(dropoff)
+        else:
+            rentals_removed[rule] += 1
+    locations_removed = {
+        RULE_OUTSIDE_DUBLIN: len(rules.outside_dublin),
+        RULE_NOT_ON_LAND: len(rules.not_on_land),
+        RULE_MISSING_COORDINATES: len(rules.missing_coordinates),
+        RULE_UNREFERENCED_LOCATION: len(rules.surviving) - len(referenced),
+    }
+    dataset = raw.subset(sorted(referenced), kept_rentals)
+    dataset.check_integrity()
+    report = CleaningReport(
+        before=raw.summary(),
+        after=dataset.summary(),
+        outcomes=[
+            RuleOutcome(rule, locations_removed.get(rule, 0), rentals_removed[rule])
+            for rule in ALL_RULES
+        ],
+    )
     return dataset, report, rules

@@ -1,4 +1,4 @@
-"""The MobyDataset: both tables plus convenient typed access."""
+"""The MobyDataset: Moby's two tables as id-keyed rows, with typed access."""
 
 from __future__ import annotations
 
@@ -7,10 +7,27 @@ from datetime import datetime
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
+from ..exceptions import DuplicateKeyError, MissingRowError, ReferentialIntegrityError
 from .csvio import read_locations, read_rentals, write_locations, write_rentals
 from .records import LocationRecord, RentalRecord
-from .schema import LOCATION_SCHEMA, RENTAL_SCHEMA
-from .tables import Database, Table
+from .schema import LOCATION_SCHEMA, RENTAL_SCHEMA, TableSchema
+
+
+def _insert(rows: dict[int, dict], schema: TableSchema, row: Mapping[str, Any]) -> None:
+    """Validate ``row`` against ``schema`` and store it under its key."""
+    clean = schema.validate_row(row)
+    pk = clean[schema.primary_key]
+    if pk in rows:
+        raise DuplicateKeyError(f"duplicate {schema.primary_key} {pk!r}")
+    rows[pk] = clean
+
+
+def _get(rows: dict[int, dict], table: str, pk: int) -> dict:
+    """The stored row under ``pk``; raises MissingRowError when absent."""
+    row = rows.get(pk)
+    if row is None:
+        raise MissingRowError(f"{table}: no row with key {pk!r}")
+    return row
 
 
 def rental_records_from_rows(rows: Any) -> list[RentalRecord]:
@@ -82,22 +99,18 @@ class DatasetSummary:
 
 
 class MobyDataset:
-    """Rental + Location tables with typed record access.
+    """The Rental and Location tables with typed record access.
 
-    The underlying :class:`~repro.data.tables.Database` carries the
-    referential metadata (both rental foreign keys point at the
-    Location table) so the cleaning stage can enumerate violations.
+    Each table is one dict of schema-validated rows keyed by primary
+    key; every read iterates in id order.  Both rental location ids
+    reference the Location table: a null reference is one of the
+    paper's dirty "missing id" rows, a dangling one is what
+    :meth:`check_integrity` rejects.
     """
 
     def __init__(self) -> None:
-        self.db = Database()
-        self._locations: Table = self.db.create_table("locations", LOCATION_SCHEMA)
-        self._rentals: Table = self.db.create_table("rentals", RENTAL_SCHEMA)
-        self._locations.create_index("is_station")
-        self._rentals.create_index("rental_location_id")
-        self._rentals.create_index("return_location_id")
-        self.db.add_foreign_key("rentals", "rental_location_id", "locations")
-        self.db.add_foreign_key("rentals", "return_location_id", "locations")
+        self._locations: dict[int, dict] = {}
+        self._rentals: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -118,16 +131,26 @@ class MobyDataset:
         return dataset
 
     def copy(self) -> "MobyDataset":
-        """A deep copy of both tables (trusted row copy, pk order).
+        """A deep copy of both tables (trusted row copy).
 
         Identical to ``from_records(self.locations(), self.rentals())``
-        but without re-materialising records or re-validating rows —
-        the cleaning stage's non-destructive copy runs through here.
+        but without re-materialising records or re-validating rows.
         """
-        clone = MobyDataset()
-        clone._locations.copy_rows_from(self._locations)
-        clone._rentals.copy_rows_from(self._rentals)
-        return clone
+        return self.subset(self._locations, self._rentals)
+
+    def subset(
+        self, location_ids: Iterable[int], rental_ids: Iterable[int]
+    ) -> "MobyDataset":
+        """A dataset holding copies of the named rows of this one.
+
+        The rows were validated when this dataset took them in, so they
+        are copied, never aliased or re-validated — cleaning builds its
+        result through here in one go.
+        """
+        subset = MobyDataset()
+        subset._locations = {pk: dict(self._locations[pk]) for pk in location_ids}
+        subset._rentals = {pk: dict(self._rentals[pk]) for pk in rental_ids}
+        return subset
 
     @classmethod
     def from_csv(cls, directory: str | Path) -> "MobyDataset":
@@ -209,19 +232,23 @@ class MobyDataset:
 
     def add_location(self, record: LocationRecord) -> None:
         """Insert one location row."""
-        self._locations.insert(
+        _insert(
+            self._locations,
+            LOCATION_SCHEMA,
             {
                 "location_id": record.location_id,
                 "lat": record.lat,
                 "lon": record.lon,
                 "is_station": record.is_station,
                 "name": record.name,
-            }
+            },
         )
 
     def add_rental(self, record: RentalRecord) -> None:
         """Insert one rental row."""
-        self._rentals.insert(
+        _insert(
+            self._rentals,
+            RENTAL_SCHEMA,
             {
                 "rental_id": record.rental_id,
                 "bike_id": record.bike_id,
@@ -229,7 +256,7 @@ class MobyDataset:
                 "ended_at": record.ended_at,
                 "rental_location_id": record.rental_location_id,
                 "return_location_id": record.return_location_id,
-            }
+            },
         )
 
     # ------------------------------------------------------------------
@@ -259,13 +286,13 @@ class MobyDataset:
 
     def locations(self) -> Iterator[LocationRecord]:
         """Iterate over all location records (id order)."""
-        for pk in sorted(self._locations.keys()):
-            yield self._location_from_row(self._locations.get(pk))
+        for row in self.location_rows():
+            yield self._location_from_row(row)
 
     def rentals(self) -> Iterator[RentalRecord]:
         """Iterate over all rental records (id order)."""
-        for pk in sorted(self._rentals.keys()):
-            yield self._rental_from_row(self._rentals.get(pk))
+        for row in self.rental_rows():
+            yield self._rental_from_row(row)
 
     def rental_rows(self) -> Iterator[dict]:
         """Raw rental rows in id order (live dicts — read-only!).
@@ -274,20 +301,28 @@ class MobyDataset:
         read columns straight off the stored rows instead of
         materialising a :class:`RentalRecord` per rental per pass.
         """
-        return self._rentals.sorted_rows()
+        rows = self._rentals
+        return (rows[pk] for pk in sorted(rows))
 
     def location_rows(self) -> Iterator[dict]:
         """Raw location rows in id order (live dicts — read-only!)."""
-        return self._locations.sorted_rows()
+        rows = self._locations
+        return (rows[pk] for pk in sorted(rows))
 
     def stations(self) -> Iterator[LocationRecord]:
-        """Iterate over fixed-station location records."""
-        for row in self._locations.lookup("is_station", True):
-            yield self._location_from_row(row)
+        """Iterate over fixed-station location records.
+
+        Ids come in ``repr`` order (10 before 2): the pipeline's station
+        rosters, and so its results, were pinned in that order.
+        """
+        rows = self._locations
+        ids = [pk for pk, row in rows.items() if row["is_station"]]
+        for pk in sorted(ids, key=repr):
+            yield self._location_from_row(rows[pk])
 
     def location(self, location_id: int) -> LocationRecord:
         """Fetch one location by id."""
-        return self._location_from_row(self._locations.get(location_id))
+        return self._location_from_row(_get(self._locations, "locations", location_id))
 
     def has_location(self, location_id: int) -> bool:
         """True when a location id exists."""
@@ -295,7 +330,7 @@ class MobyDataset:
 
     def rental(self, rental_id: int) -> RentalRecord:
         """Fetch one rental by id."""
-        return self._rental_from_row(self._rentals.get(rental_id))
+        return self._rental_from_row(_get(self._rentals, "rentals", rental_id))
 
     def max_rental_id(self) -> int | None:
         """The highest rental id stored, or ``None`` when empty.
@@ -304,8 +339,7 @@ class MobyDataset:
         this, so an appended dataset iterates identically to the same
         rows ingested in one shot (id order == prefix-then-delta order).
         """
-        keys = list(self._rentals.keys())
-        return max(keys) if keys else None
+        return max(self._rentals, default=None)
 
     def rentals_after(self, rental_id: int) -> list[RentalRecord]:
         """Rental records with ids strictly above ``rental_id``, id order.
@@ -314,44 +348,39 @@ class MobyDataset:
         materialise records, so pulling a 5% tail out of a large log
         costs O(log) id comparisons but only O(delta) record builds.
         """
-        picked = sorted(pk for pk in self._rentals.keys() if pk > rental_id)
-        return [
-            self._rental_from_row(self._rentals.get(pk)) for pk in picked
-        ]
-
-    # ------------------------------------------------------------------
-    # Mutation used by cleaning
-    # ------------------------------------------------------------------
-
-    def remove_location(self, location_id: int) -> None:
-        """Delete one location row."""
-        self._locations.delete(location_id)
-
-    def remove_rental(self, rental_id: int) -> None:
-        """Delete one rental row."""
-        self._rentals.delete(rental_id)
-
-    def rentals_touching_location(self, location_id: int) -> set[int]:
-        """Ids of rentals that start or end at ``location_id``."""
-        ids = {
-            row["rental_id"]
-            for row in self._rentals.lookup("rental_location_id", location_id)
-        }
-        ids.update(
-            row["rental_id"]
-            for row in self._rentals.lookup("return_location_id", location_id)
-        )
-        return ids
+        rows = self._rentals
+        picked = sorted(pk for pk in rows if pk > rental_id)
+        return [self._rental_from_row(rows[pk]) for pk in picked]
 
     def referenced_location_ids(self) -> set[int]:
         """Location ids referenced by at least one rental."""
         referenced: set[int] = set()
-        for row in self._rentals.sorted_rows():
-            if row["rental_location_id"] is not None:
-                referenced.add(row["rental_location_id"])
-            if row["return_location_id"] is not None:
-                referenced.add(row["return_location_id"])
+        for row in self._rentals.values():
+            referenced.add(row["rental_location_id"])
+            referenced.add(row["return_location_id"])
+        referenced.discard(None)
         return referenced
+
+    def check_integrity(self) -> None:
+        """Raise :class:`ReferentialIntegrityError` on a dangling reference.
+
+        One pass over the rentals; a null reference (a "missing id"
+        dirty row) is allowed, a non-null id absent from the Location
+        table is not.
+        """
+        locations = self._locations
+        dangling = [
+            (column, row["rental_id"])
+            for row in self.rental_rows()
+            for column in ("rental_location_id", "return_location_id")
+            if row[column] is not None and row[column] not in locations
+        ]
+        if dangling:
+            column, pk = dangling[0]
+            raise ReferentialIntegrityError(
+                f"{len(dangling)} violation(s); first: rentals.{column} "
+                f"row {pk!r} -> missing locations row"
+            )
 
     # ------------------------------------------------------------------
     # Stats
@@ -370,7 +399,7 @@ class MobyDataset:
     @property
     def n_stations(self) -> int:
         """Number of fixed stations."""
-        return len(self._locations.lookup("is_station", True))
+        return sum(1 for row in self._locations.values() if row["is_station"])
 
     def summary(self) -> DatasetSummary:
         """The Table-I counts for this dataset."""

@@ -1,4 +1,4 @@
-"""Column specifications and row validation for the table engine."""
+"""Column specifications and row validation for the dataset's two tables."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Any, Mapping, Sequence
 
 from ..exceptions import SchemaError
 
-#: Types the engine understands.  ``float`` accepts ints (auto-widened);
+#: Types a column may declare.  ``float`` accepts ints (auto-widened);
 #: everything else is checked exactly.
 _ALLOWED_TYPES = (int, float, str, bool, datetime)
 

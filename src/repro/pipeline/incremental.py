@@ -77,7 +77,7 @@ def incremental_clean(
     Exactness argument: the location table is untouched by appends, so
     the rule-1/2/3 doomed sets and the rule-5 surviving domain are the
     parent's; rules 1-5 judge each rental row independently, so
-    classifying only the delta reproduces the sequential passes.  Rule 6
+    classifying only the delta reproduces the cold pass.  Rule 6
     keeps a location iff some surviving rental references it — the guard
     below ensures every delta survivor references locations the parent
     already kept, so the rule-6 kept set (and with it the cleaned

@@ -70,8 +70,9 @@ N_HOUR_SLICES = 24
 
 #: Bump when a stage's semantics change: old cache entries become
 #: unreachable instead of silently stale.  (2: the ``clean`` stage value
-#: grew a :class:`~repro.pipeline.incremental.CleanAux` third element.)
-CACHE_SCHEMA_VERSION = 2
+#: grew a :class:`~repro.pipeline.incremental.CleanAux` third element;
+#: 3: its cleaned ``MobyDataset`` holds plain id-keyed row dicts.)
+CACHE_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

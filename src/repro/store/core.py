@@ -117,13 +117,3 @@ class Store:
         if faults is not None and faults.active:
             backend = FaultInjectingBackend(backend, faults)
         return backend
-
-    def spec(self, name: str) -> tuple[str, str] | None:
-        """(kind, root) a worker process can rebuild namespace ``name`` from.
-
-        ``None`` for memory stores — bytes cannot cross a process
-        boundary through them.
-        """
-        if self.root is None:
-            return None
-        return (self.backend_kind, str(self.root / name))

@@ -355,3 +355,11 @@ class TestStoreDir:
 
         with pytest.raises(ConfigError, match="store-dir"):
             cli.main(["run", "--seed", "11", "--store-backend", "sharded"])
+
+    def test_cache_limits_without_store_dir_rejected(self, capsys):
+        assert cli.main(["run", "--seed", "11", "--cache-bytes", "1048576"]) == 2
+        assert "--cache-bytes requires --store-dir" in capsys.readouterr().err
+
+    def test_serve_cache_limits_without_store_dir_rejected(self, capsys):
+        assert cli.main(["serve", "--port", "0", "--cache-entries", "32"]) == 2
+        assert "--cache-entries requires --store-dir" in capsys.readouterr().err

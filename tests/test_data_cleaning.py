@@ -112,7 +112,7 @@ class TestCleaningRules:
 
     def test_result_passes_integrity(self, cleaned):
         dataset, _ = cleaned
-        dataset.db.check_integrity()
+        dataset.check_integrity()
 
     def test_unknown_rule_lookup_raises(self, cleaned):
         _, report = cleaned
@@ -154,4 +154,4 @@ class TestCleaningEdgeCases:
         assert report.before.n_rentals > report.after.n_rentals
         assert report.before.n_locations > report.after.n_locations
         assert report.before.n_stations - report.after.n_stations == 3
-        cleaned.db.check_integrity()
+        cleaned.check_integrity()

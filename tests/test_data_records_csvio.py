@@ -115,21 +115,8 @@ class TestMobyDataset:
         stations = list(self._dataset().stations())
         assert [s.location_id for s in stations] == [1]
 
-    def test_rentals_touching_location(self):
-        dataset = self._dataset()
-        assert dataset.rentals_touching_location(1) == {1}
-        assert dataset.rentals_touching_location(2) == {1, 2}
-        assert dataset.rentals_touching_location(3) == {2}
-
     def test_referenced_location_ids(self):
         assert self._dataset().referenced_location_ids() == {1, 2, 3}
-
-    def test_remove_cascade_manual(self):
-        dataset = self._dataset()
-        dataset.remove_rental(2)
-        dataset.remove_location(3)
-        assert dataset.n_rentals == 1
-        assert dataset.n_locations == 2
 
     def test_summary(self):
         summary = self._dataset().summary()

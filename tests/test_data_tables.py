@@ -1,4 +1,4 @@
-"""Unit tests for the in-memory relational engine."""
+"""Row schemas and the keyed tables of a MobyDataset."""
 
 from datetime import datetime
 
@@ -6,10 +6,9 @@ import pytest
 
 from repro.data import (
     ColumnSpec,
-    Database,
-    LOCATION_SCHEMA,
-    RENTAL_SCHEMA,
-    Table,
+    LocationRecord,
+    MobyDataset,
+    RentalRecord,
     TableSchema,
     schema_from_columns,
 )
@@ -26,8 +25,19 @@ SIMPLE = schema_from_columns(
 )
 
 
-def make_table() -> Table:
-    return Table("things", SIMPLE)
+def location(location_id: int, name: str = "", is_station: bool = False) -> LocationRecord:
+    return LocationRecord(location_id, 53.3, -6.2, is_station=is_station, name=name)
+
+
+def rental(rental_id: int, pickup: int | None, dropoff: int | None) -> RentalRecord:
+    return RentalRecord(
+        rental_id=rental_id,
+        bike_id=2,
+        started_at=datetime(2020, 5, 1, 8, 0),
+        ended_at=datetime(2020, 5, 1, 8, 30),
+        rental_location_id=pickup,
+        return_location_id=dropoff,
+    )
 
 
 class TestSchema:
@@ -82,165 +92,84 @@ class TestSchema:
 
 
 class TestTable:
+    """One table's keyed rows, read and written through MobyDataset."""
+
     def test_insert_and_get(self):
-        table = make_table()
-        table.insert({"id": 1, "name": "a", "score": 2.0})
-        assert table.get(1)["name"] == "a"
+        dataset = MobyDataset()
+        dataset.add_location(location(1, name="a"))
+        assert dataset.location(1).name == "a"
 
     def test_get_returns_copy(self):
-        table = make_table()
-        table.insert({"id": 1, "name": "a", "score": None})
-        row = table.get(1)
-        row["name"] = "mutated"
-        assert table.get(1)["name"] == "a"
+        dataset = MobyDataset.from_records([location(1, name="a")], [])
+        clone = dataset.copy()
+        next(clone.location_rows())["name"] = "mutated"
+        assert dataset.location(1).name == "a"
 
     def test_duplicate_pk_rejected(self):
-        table = make_table()
-        table.insert({"id": 1, "name": "a", "score": None})
+        dataset = MobyDataset()
+        dataset.add_location(location(1, name="a"))
         with pytest.raises(DuplicateKeyError):
-            table.insert({"id": 1, "name": "b", "score": None})
+            dataset.add_location(location(1, name="b"))
+        dataset.add_rental(rental(7, 1, 1))
+        with pytest.raises(DuplicateKeyError):
+            dataset.add_rental(rental(7, 1, 1))
 
     def test_missing_get_raises(self):
         with pytest.raises(MissingRowError):
-            make_table().get(99)
-
-    def test_maybe_get(self):
-        table = make_table()
-        assert table.maybe_get(1) is None
-        table.insert({"id": 1, "name": "a", "score": None})
-        assert table.maybe_get(1) is not None
-
-    def test_delete(self):
-        table = make_table()
-        table.insert({"id": 1, "name": "a", "score": None})
-        removed = table.delete(1)
-        assert removed["name"] == "a"
-        assert len(table) == 0
+            MobyDataset().location(99)
         with pytest.raises(MissingRowError):
-            table.delete(1)
-
-    def test_delete_where(self):
-        table = make_table()
-        table.insert_many(
-            {"id": i, "name": "even" if i % 2 == 0 else "odd", "score": None}
-            for i in range(10)
-        )
-        removed = table.delete_where(lambda row: row["name"] == "even")
-        assert removed == 5
-        assert len(table) == 5
-
-    def test_scan_with_predicate(self):
-        table = make_table()
-        table.insert_many(
-            {"id": i, "name": str(i), "score": float(i)} for i in range(5)
-        )
-        hits = list(table.scan(lambda row: row["score"] > 2.0))
-        assert {row["id"] for row in hits} == {3, 4}
-
-    def test_lookup_without_index(self):
-        table = make_table()
-        table.insert({"id": 1, "name": "x", "score": None})
-        table.insert({"id": 2, "name": "x", "score": None})
-        assert {row["id"] for row in table.lookup("name", "x")} == {1, 2}
-
-    def test_lookup_with_index(self):
-        table = make_table()
-        table.create_index("name")
-        table.insert({"id": 1, "name": "x", "score": None})
-        table.insert({"id": 2, "name": "y", "score": None})
-        assert [row["id"] for row in table.lookup("name", "x")] == [1]
-
-    def test_index_tracks_deletes(self):
-        table = make_table()
-        table.create_index("name")
-        table.insert({"id": 1, "name": "x", "score": None})
-        table.delete(1)
-        assert table.lookup("name", "x") == []
-
-    def test_index_created_after_rows(self):
-        table = make_table()
-        table.insert({"id": 1, "name": "x", "score": None})
-        table.create_index("name")
-        assert [row["id"] for row in table.lookup("name", "x")] == [1]
-
-    def test_distinct(self):
-        table = make_table()
-        table.insert_many(
-            {"id": i, "name": "a" if i < 3 else "b", "score": None}
-            for i in range(5)
-        )
-        assert table.distinct("name") == {"a", "b"}
+            MobyDataset().rental(99)
 
     def test_contains_and_keys(self):
-        table = make_table()
-        table.insert({"id": 42, "name": "x", "score": None})
-        assert 42 in table
-        assert list(table.keys()) == [42]
+        dataset = MobyDataset.from_records([location(42)], [rental(5, 42, 42)])
+        assert dataset.has_location(42)
+        assert [record.location_id for record in dataset.locations()] == [42]
+        assert dataset.max_rental_id() == 5
+
+    def test_stations_in_repr_order(self):
+        dataset = MobyDataset.from_records(
+            [location(2, is_station=True), location(10, is_station=True), location(3)],
+            [],
+        )
+        assert [record.location_id for record in dataset.stations()] == [10, 2]
 
 
 class TestDatabase:
-    def _db(self) -> Database:
-        db = Database()
-        parent = db.create_table("parents", schema_from_columns(
-            [("id", int, False)], primary_key="id"
-        ))
-        child = db.create_table("children", schema_from_columns(
-            [("id", int, False), ("parent_id", int, True)], primary_key="id"
-        ))
-        db.add_foreign_key("children", "parent_id", "parents")
-        parent.insert({"id": 1})
-        child.insert({"id": 10, "parent_id": 1})
-        return db
+    """Referential integrity between the two tables."""
 
-    def test_duplicate_table_rejected(self):
-        db = Database()
-        db.create_table("t", SIMPLE)
-        with pytest.raises(SchemaError):
-            db.create_table("t", SIMPLE)
-
-    def test_missing_table_raises(self):
-        with pytest.raises(SchemaError):
-            Database().table("ghost")
+    def _dataset(self) -> MobyDataset:
+        return MobyDataset.from_records([location(1)], [rental(10, 1, 1)])
 
     def test_integrity_ok(self):
-        self._db().check_integrity()
+        self._dataset().check_integrity()
 
     def test_dangling_reference_detected(self):
-        db = self._db()
-        db.table("children").insert({"id": 11, "parent_id": 99})
-        violations = db.foreign_key_violations()
-        assert len(violations) == 1
-        assert violations[0][1] == 11
-        with pytest.raises(ReferentialIntegrityError):
-            db.check_integrity()
+        dataset = self._dataset()
+        dataset.add_rental(rental(11, 1, 99))
+        with pytest.raises(ReferentialIntegrityError, match="row 11"):
+            dataset.check_integrity()
 
     def test_null_reference_allowed(self):
-        db = self._db()
-        db.table("children").insert({"id": 12, "parent_id": None})
-        db.check_integrity()
-
-    def test_table_names(self):
-        assert self._db().table_names() == ["children", "parents"]
+        dataset = self._dataset()
+        dataset.add_rental(rental(12, None, 1))
+        dataset.check_integrity()
 
 
 class TestMobySchemas:
     def test_location_schema_roundtrip(self):
-        table = Table("locations", LOCATION_SCHEMA)
-        table.insert(
-            {"location_id": 1, "lat": 53.3, "lon": -6.2, "is_station": True, "name": "x"}
-        )
-        assert table.get(1)["is_station"] is True
+        dataset = MobyDataset()
+        dataset.add_location(LocationRecord(1, 53.3, -6.2, is_station=True, name="x"))
+        assert dataset.location(1).is_station is True
 
     def test_rental_schema_accepts_datetime(self):
-        table = Table("rentals", RENTAL_SCHEMA)
-        table.insert(
-            {
-                "rental_id": 1,
-                "bike_id": 2,
-                "started_at": datetime(2020, 5, 1, 8, 0),
-                "ended_at": datetime(2020, 5, 1, 8, 30),
-                "rental_location_id": None,
-                "return_location_id": 3,
-            }
-        )
-        assert table.get(1)["rental_location_id"] is None
+        dataset = MobyDataset()
+        dataset.add_rental(rental(1, None, 3))
+        assert dataset.rental(1).rental_location_id is None
+        assert dataset.rental(1).started_at == datetime(2020, 5, 1, 8, 0)
+
+    def test_schemas_reject_wrong_types(self):
+        dataset = MobyDataset()
+        with pytest.raises(SchemaError):
+            dataset.add_location(LocationRecord(1, "53.3", -6.2))  # type: ignore[arg-type]
+        with pytest.raises(SchemaError):
+            dataset.add_rental(rental(1, True, 3))  # type: ignore[arg-type]

@@ -228,8 +228,6 @@ class TestStoreFactory:
         backend = store.backend("stage")
         backend.put("abcd.pkl", b"x")
         assert (tmp_path / "stage").is_dir()
-        assert store.spec("stage") == ("sharded", str(tmp_path / "stage"))
-        assert Store().spec("stage") is None
         with pytest.raises(StoreError):
             Store(tmp_path / "other", "bogus")
         with pytest.raises(StoreError):
